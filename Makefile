@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci quick build vet test race bench benchsmoke fanout-oracle fuzz fuzz-smoke figures cover golden chaos-smoke vuln clean
+.PHONY: ci quick build vet test race bench benchsmoke fuzz fuzz-smoke figures cover golden chaos-smoke vuln clean
 
-ci: build vet test race cover benchsmoke fanout-oracle fuzz-smoke chaos-smoke vuln
+ci: build vet test race cover benchsmoke fuzz-smoke chaos-smoke vuln
 
 quick: build vet
 	$(GO) test -short ./...
@@ -60,19 +60,6 @@ benchsmoke:
 	fi
 	@rm -f benchsmoke.out
 
-# The fan-out differential oracles under both a single-core and the
-# default scheduler: GOMAXPROCS changes the auto fan-out plan (chunked
-# serial replay vs the class-affinity worker pool), so both legs must
-# produce bit-identical reports. `make test`/`make race` already cover
-# the default; the GOMAXPROCS=1 leg pins the serial plan explicitly.
-fanout-oracle:
-	GOMAXPROCS=1 $(GO) test -count=1 \
-		-run='TestFanoutDifferentialOracle|TestMultiRun|TestParallelDeterminism|TestPlanFanout' \
-		./internal/core ./internal/bench
-	$(GO) test -count=1 \
-		-run='TestFanoutDifferentialOracle|TestParallelDeterminism' \
-		./internal/core ./internal/bench
-
 # Short coverage-guided runs of every fuzz target (go test allows one
 # -fuzz per invocation, hence the separate lines). Part of `make ci`:
 # ~10s per target catches shallow regressions in the crash-proofing
@@ -113,13 +100,12 @@ vuln:
 	fi
 
 # Full measurement run: the perf suite (engine hot path, interpreter
-# dispatch, end-to-end sweep; shadow vs legacy-map, fanout vs per-config,
-# bytecode vs treewalk, batched vs per-event, and parallel vs serial
-# sub-benchmarks, plus the bytecode compiler's opcode-mix census) and the
-# root interpreter benchmark, rendered to BENCH_PR10.json with the
-# speedup-ratio tables.
+# dispatch, end-to-end sweeps; shadow vs legacy-map and bytecode vs
+# treewalk sub-benchmarks, the paper-grid fan-out sweep, plus the bytecode
+# compiler's opcode-mix census) and the root interpreter benchmark,
+# rendered to BENCH_PR10.json with the speedup-ratio tables.
 bench:
-	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepBatched|SweepParallel|SweepEngines|BytecodeLowering' \
+	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepEngines|BytecodeLowering' \
 		-benchmem -count=1 ./internal/core ./internal/interp ./internal/bench | tee bench.out
 	$(GO) test -run='^$$' -bench='^BenchmarkInterpreter$$' -benchmem -count=1 . | tee -a bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_PR10.json bench.out

@@ -1,12 +1,8 @@
 // Command benchjson converts `go test -bench` output into a
 // machine-readable JSON summary (BENCH_PR10.json). It parses every
 // benchmark line, keeps all reported metrics (ns/op, B/op, allocs/op,
-// and custom metrics like instrs/sec), and derives four ratio tables:
+// and custom metrics like instrs/sec), and derives three ratio tables:
 //
-//   - fanout_vs_perconfig: for each benchmark with /fanout and
-//     /per-config sub-benchmarks, the per-config÷fanout time ratio —
-//     the sweep wall-clock won by interpreting each program once and
-//     fanning the event stream out to every configuration's engine.
 //   - shadow_vs_legacy: for each benchmark with /shadow and /legacy-map
 //     sub-benchmarks, the legacy÷shadow time ratio and the per-op bytes
 //     saved — the cost of the differential oracle's map tracker relative
@@ -15,16 +11,6 @@
 //     /treewalk sub-benchmarks, the treewalk÷bytecode time ratio — the
 //     dispatch cost the register-based bytecode VM compiles away
 //     relative to the tree-walking oracle.
-//   - batched_vs_perevent: for each benchmark with /batched and
-//     /per-event sub-benchmarks, the per-event÷batched time ratio — the
-//     dispatch amortization won by feeding engines whole sealed event
-//     chunks (one tracker call per memory span) instead of one hook
-//     call per event.
-//   - parallel_vs_serial: for each benchmark with /parallel and /serial
-//     sub-benchmarks, the serial÷parallel time ratio — the multi-core
-//     scaling won by sharding engine classes across the class-affinity
-//     worker pool (Parallelism=NumCPU) against the single-goroutine
-//     chunked replay (Parallelism=1).
 //   - seed_vs_current: current numbers against baselines measured at the
 //     pre-shadow-memory seed commit with identical access patterns.
 //
@@ -121,28 +107,17 @@ var seedBaselines = map[string]seedBaseline{
 // extraCurrent holds macro measurements that do not come from `go test
 // -bench` output and are injected into the report alongside the parsed
 // lines. Measured with `time ./lpbench > /dev/null` (all figures), best
-// of five on an otherwise idle single-core box. The /serial and
-// /parallel pair (best of three) is `-parallel 1` vs `-parallel 0`
-// (one pool worker per CPU): on the single-core measurement box
-// NumCPU=1, so the auto plan resolves both to the serial chunked path
-// and the ratio is ~1.0 — the cross-core speedup needs a multi-core
-// runner to manifest (forcing `-strategy parallel` on one core costs
-// ~16% in goroutine handoff, which is why the auto plan refuses it).
+// of five on an otherwise idle single-core box.
 var extraCurrent = map[string]map[string]float64{
-	"lpbench-all-figures":          {"sec/run": 0.923},
-	"lpbench-all-figures/serial":   {"sec/run": 1.079},
-	"lpbench-all-figures/parallel": {"sec/run": 1.074},
+	"lpbench-all-figures": {"sec/run": 0.923},
 }
 
 type output struct {
 	Schema             string                      `json:"schema"`
 	Note               string                      `json:"note"`
 	Benchmarks         []Benchmark                 `json:"benchmarks"`
-	FanoutVsPerConfig  map[string]map[string]Ratio `json:"fanout_vs_perconfig"`
 	ShadowVsLegacy     map[string]map[string]Ratio `json:"shadow_vs_legacy"`
 	BytecodeVsTreewalk map[string]map[string]Ratio `json:"bytecode_vs_treewalk"`
-	BatchedVsPerEvent  map[string]map[string]Ratio `json:"batched_vs_perevent"`
-	ParallelVsSerial   map[string]map[string]Ratio `json:"parallel_vs_serial"`
 	BytecodeLowering   *loweringStats              `json:"bytecode_lowering,omitempty"`
 	SeedVsCurrent      map[string]map[string]Ratio `json:"seed_vs_current"`
 }
@@ -320,19 +295,6 @@ func run() error {
 	}
 	sort.Slice(benches, func(i, j int) bool { return benches[i].Name < benches[j].Name })
 
-	fanoutVsPerConfig := map[string]map[string]Ratio{}
-	for name, fan := range byName {
-		root, ok := strings.CutSuffix(name, "/fanout")
-		if !ok {
-			continue
-		}
-		perConfig, ok := byName[root+"/per-config"]
-		if !ok {
-			continue
-		}
-		fanoutVsPerConfig[root] = ratios(perConfig, fan)
-	}
-
 	shadowVsLegacy := map[string]map[string]Ratio{}
 	for name, shadow := range byName {
 		root, ok := strings.CutSuffix(name, "/shadow")
@@ -357,32 +319,6 @@ func run() error {
 			continue
 		}
 		bytecodeVsTreewalk[root] = ratios(tw, bc)
-	}
-
-	batchedVsPerEvent := map[string]map[string]Ratio{}
-	for name, bat := range byName {
-		root, ok := strings.CutSuffix(name, "/batched")
-		if !ok {
-			continue
-		}
-		pe, ok := byName[root+"/per-event"]
-		if !ok {
-			continue
-		}
-		batchedVsPerEvent[root] = ratios(pe, bat)
-	}
-
-	parallelVsSerial := map[string]map[string]Ratio{}
-	for name, par := range byName {
-		root, ok := strings.CutSuffix(name, "/parallel")
-		if !ok {
-			continue
-		}
-		ser, ok := byName[root+"/serial"]
-		if !ok {
-			continue
-		}
-		parallelVsSerial[root] = ratios(ser, par)
 	}
 
 	var lowering *loweringStats
@@ -410,21 +346,13 @@ func run() error {
 	}
 
 	doc := output{
-		Schema: "loopapalooza-bench/v3",
-		Note: "speedup >1 means current/fanout/shadow/bytecode/batched/parallel is better; seed " +
+		Schema: "loopapalooza-bench/v4",
+		Note: "speedup >1 means current/shadow/bytecode is better; seed " +
 			"baselines measured at commit d237949 with identical access patterns, " +
-			"except BenchmarkInterpDispatch (measured at the pre-bytecode-VM commit). " +
-			"parallel_vs_serial compares Parallelism=NumCPU against Parallelism=1; on the " +
-			"single-core measurement box NumCPU=1, so both legs resolve to the serial " +
-			"chunked plan and the ratio is ~1.0 — re-run `make bench` on a multi-core " +
-			"runner to measure the cross-core scaling (the class-affinity pool shards " +
-			"the 14 paper-grid engine classes across workers).",
+			"except BenchmarkInterpDispatch (measured at the pre-bytecode-VM commit).",
 		Benchmarks:         benches,
-		FanoutVsPerConfig:  fanoutVsPerConfig,
 		ShadowVsLegacy:     shadowVsLegacy,
 		BytecodeVsTreewalk: bytecodeVsTreewalk,
-		BatchedVsPerEvent:  batchedVsPerEvent,
-		ParallelVsSerial:   parallelVsSerial,
 		BytecodeLowering:   lowering,
 		SeedVsCurrent:      seedVsCurrent,
 	}

@@ -77,7 +77,6 @@ import (
 
 	"loopapalooza/internal/bench"
 	"loopapalooza/internal/cluster"
-	"loopapalooza/internal/core"
 	"loopapalooza/internal/serve"
 	"loopapalooza/internal/wal"
 )
@@ -95,8 +94,6 @@ type config struct {
 	memLimit      int64
 	timeout       time.Duration
 	shutdown      time.Duration
-	engine        string
-	parallel      int
 	dataDir       string
 	scrubInterval time.Duration
 	walDump       string
@@ -124,9 +121,6 @@ func main() {
 	flag.Int64Var(&cfg.memLimit, "mem-limit", 0, "per-run heap budget in 64-bit cells and cap (0 = interpreter default)")
 	flag.DurationVar(&cfg.shutdown, "shutdown-timeout", 15*time.Second,
 		"graceful-shutdown window; on expiry in-flight cells are released back to the queue as canceled")
-	flag.StringVar(&cfg.engine, "engine", "bytecode", "execution engine: bytecode or treewalk (oracle)")
-	flag.IntVar(&cfg.parallel, "parallel", 0,
-		"fan-out worker pool width per sweep (0 = one worker per CPU, 1 = serial; reports are bit-identical at every width)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "",
 		"durable state root: <dir>/wal journals the coordinator for crash recovery, <dir>/traces holds the checksummed trace store (\"\" = in-memory only)")
 	flag.DurationVar(&cfg.scrubInterval, "scrub-interval", 0,
@@ -159,23 +153,12 @@ func run(cfg config) int {
 		}
 		return 0
 	}
-	engine, err := core.ParseEngineKind(cfg.engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lpd:", err)
-		return 2
-	}
-	budgets := serve.Budgets{
-		MaxSteps:     cfg.maxSteps,
-		MaxHeapCells: cfg.memLimit,
-		TimeoutMs:    cfg.timeout.Milliseconds(),
-	}
+	budgets := cfg.budgets()
 	opts := serve.Options{
 		DefaultBudgets: budgets,
 		MaxBudgets:     budgets,
 		MaxConcurrent:  cfg.maxConcurrent,
 		CacheEntries:   cfg.cacheEntries,
-		Engine:         engine,
-		Parallelism:    cfg.parallel,
 		Log:            log,
 	}
 	if cfg.dataDir != "" {
@@ -206,6 +189,7 @@ func run(cfg config) int {
 			// <data-dir>/wal, recovered on the next start.
 			copts.DataDir = filepath.Join(cfg.dataDir, "wal")
 		}
+		var err error
 		coord, err = cluster.OpenCoordinator(copts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lpd:", err)
@@ -252,13 +236,8 @@ func run(cfg config) int {
 	}
 	var workers []*cluster.Worker
 	addWorker := func(id string, surface cluster.Coordination) int {
-		// Each worker gets its own harness so the fleet honours the
-		// process-level engine and fan-out pool width on every node.
-		harness := bench.NewHarnessWith(bench.HarnessOptions{
-			Run: core.RunOptions{Engine: engine, Parallelism: cfg.parallel},
-		})
 		w, err := cluster.NewWorker(cluster.WorkerOptions{
-			ID: id, Coordinator: surface, Harness: harness, Poll: cfg.poll, Log: log,
+			ID: id, Coordinator: surface, Harness: workerHarness(budgets), Poll: cfg.poll, Log: log,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lpd:", err)
@@ -315,7 +294,7 @@ func run(cfg config) int {
 	errc := make(chan error, 1)
 	go func() { errc <- s.ListenAndServe(cfg.addr) }()
 	log.Info("lpd listening", "addr", cfg.addr, "role", cfg.role,
-		"engine", engine.String(), "workers", len(workers), "maxSteps", cfg.maxSteps,
+		"workers", len(workers), "maxSteps", cfg.maxSteps,
 		"timeoutMs", cfg.timeout.Milliseconds(), "memLimit", cfg.memLimit)
 
 	select {
@@ -355,6 +334,23 @@ func run(cfg config) int {
 	}
 	log.Info("lpd stopped")
 	return 0
+}
+
+// budgets are the per-run budgets of the -max-steps, -timeout and
+// -mem-limit flags: the analysis service's defaults and caps, and the
+// budgets every worker cell runs under.
+func (cfg config) budgets() serve.Budgets {
+	return serve.Budgets{
+		MaxSteps:     cfg.maxSteps,
+		MaxHeapCells: cfg.memLimit,
+		TimeoutMs:    cfg.timeout.Milliseconds(),
+	}
+}
+
+// workerHarness builds one cluster worker's own harness, running every
+// cell under the process budgets exactly as the standalone service does.
+func workerHarness(b serve.Budgets) *bench.Harness {
+	return bench.NewHarnessWith(bench.HarnessOptions{Run: b.RunOptions()})
 }
 
 // dumpWAL renders a journal directory for inspection without opening it

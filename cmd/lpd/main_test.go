@@ -1,11 +1,16 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"loopapalooza/internal/bench"
+	"loopapalooza/internal/cluster"
+	"loopapalooza/internal/core"
 	"loopapalooza/internal/wal"
 )
 
@@ -25,6 +30,52 @@ func TestRunRejectsBadRoleWiring(t *testing.T) {
 				t.Fatalf("run() = %d, want usage error 2", rc)
 			}
 		})
+	}
+}
+
+// TestWorkerHarnessHonorsBudgets: a cluster worker runs its cells under
+// the process -max-steps budget, so a cell that exceeds it parks as
+// step-limit instead of running on to the interpreter's default budget.
+func TestWorkerHarnessHonorsBudgets(t *testing.T) {
+	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{})
+	defer coord.Close()
+	w, err := cluster.NewWorker(cluster.WorkerOptions{
+		ID:          "w0",
+		Coordinator: coord,
+		Harness:     workerHarness(config{maxSteps: 5000}.budgets()),
+		Poll:        5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() { defer close(stopped); w.Run(ctx) }()
+	defer func() { cancel(); <-stopped }()
+
+	id, err := coord.Submit("t", []*bench.Benchmark{bench.ByName("181.mcf")},
+		[]core.Config{core.BestHELIX()}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st, err := coord.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Done == st.Total {
+			c := st.Cells[0]
+			if c.State != cluster.CellParked || c.Outcome != core.OutcomeStepLimit {
+				t.Fatalf("cell %s/%s: state %s, outcome %s; want parked as step-limit",
+					c.Bench, c.Config, c.State, c.Outcome)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job did not finish: %s", st.Summary)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -6,22 +6,56 @@ import (
 	"reflect"
 	"testing"
 
+	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/core"
+	"loopapalooza/internal/interp"
 )
+
+// treewalk executes main on the tree-walking interpreter, the reference
+// engine kept as the bytecode VM's differential oracle, and returns the
+// binary event trace it emitted. The tree-walker is driven directly: no
+// core option selects it, and its trace is evaluated by core's replay.
+func treewalk(info *analysis.ModuleInfo, maxSteps int64) ([]byte, error) {
+	var buf bytes.Buffer
+	tw := core.NewTraceWriter(&buf, info)
+	if _, err := interp.New(info, interp.Config{MaxSteps: maxSteps, Hooks: tw}).Run("main"); err != nil {
+		return nil, err
+	}
+	if err := tw.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// engineErrParity requires a production core.Run failure to wrap exactly
+// the tree-walker's failure: same text, same taxonomy outcome.
+func engineErrParity(t *testing.T, errT, errB error, sentinel error) {
+	t.Helper()
+	if !errors.Is(errB, sentinel) {
+		t.Fatalf("bytecode error outside taxonomy: %v", errB)
+	}
+	if inner := errors.Unwrap(errB); inner == nil || inner.Error() != errT.Error() {
+		t.Fatalf("error text divergence:\ntreewalk: %v\nbytecode: %v", errT, errB)
+	}
+	if core.Classify(errT) != core.Classify(errB) {
+		t.Fatalf("outcome divergence: %v vs %v", core.Classify(errT), core.Classify(errB))
+	}
+}
 
 // TestBytecodeDifferentialOracle is the acceptance gate of the bytecode
 // VM: every benchmark of the suite, under the DOALL/PDOALL/HELIX oracle
 // grid, must produce Reports bit-identical to the tree-walking
-// interpreter — through the plain Run path, both fan-out strategies, and
-// a recorded-trace replay. Any divergence in instruction semantics, tick
-// accounting, loop-event placement, or memory behavior shows up as a
-// report diff.
+// interpreter — through the plain Run path, the MultiRun fan-out, and a
+// recorded-trace replay — and the two engines must emit byte-identical
+// event traces. Any divergence in instruction semantics, tick accounting,
+// loop-event placement, or memory behavior shows up as a report or trace
+// diff.
 func TestBytecodeDifferentialOracle(t *testing.T) {
 	benchmarks := All()
 	if len(benchmarks) == 0 {
 		t.Fatal("no registered benchmarks")
 	}
-	cfgs := oracleConfigs(testing.Short())
+	cfgs := OracleConfigs(testing.Short())
 	for _, b := range benchmarks {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -30,17 +64,17 @@ func TestBytecodeDifferentialOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Reference: the tree-walker, one isolated execution per
-			// configuration, recording its event trace alongside the first.
-			var twTrace bytes.Buffer
+			// Reference: the tree-walker's event stream, evaluated
+			// separately under each configuration.
+			twTrace, err := treewalk(info, 0)
+			if err != nil {
+				t.Fatalf("treewalk: %v", err)
+			}
 			want := make([]*core.Report, len(cfgs))
 			for i, cfg := range cfgs {
-				opts := core.RunOptions{Engine: core.EngineTreewalk}
-				if i == 0 {
-					opts.Trace = &twTrace
-				}
-				if want[i], err = core.Run(info, cfg, opts); err != nil {
-					t.Fatalf("%s: treewalk: %v", cfg, err)
+				if want[i], err = core.ReplayTrace(b.Name, info, cfg,
+					core.RunOptions{}, bytes.NewReader(twTrace)); err != nil {
+					t.Fatalf("%s: treewalk replay: %v", cfg, err)
 				}
 			}
 			check := func(kind string, got []*core.Report, err error) {
@@ -59,7 +93,7 @@ func TestBytecodeDifferentialOracle(t *testing.T) {
 			var bcTrace bytes.Buffer
 			direct := make([]*core.Report, len(cfgs))
 			for i, cfg := range cfgs {
-				opts := core.RunOptions{Engine: core.EngineBytecode}
+				opts := core.RunOptions{}
 				if i == 0 {
 					opts.Trace = &bcTrace
 				}
@@ -68,19 +102,14 @@ func TestBytecodeDifferentialOracle(t *testing.T) {
 				}
 			}
 			check("direct", direct, nil)
-			seq, err := core.MultiRunSequential(info, cfgs, core.RunOptions{Engine: core.EngineBytecode})
-			check("sequential", seq, err)
-			con, err := core.MultiRunConcurrent(info, cfgs, core.RunOptions{Engine: core.EngineBytecode})
-			check("concurrent", con, err)
-			// A trace recorded under the bytecode engine replays to the
-			// treewalk reports — the binary event streams themselves are
-			// interchangeable.
+			multi, err := core.MultiRun(info, cfgs, core.RunOptions{})
+			check("multirun", multi, err)
 			rep, err := core.ReplayTraceMulti(b.Name, info, cfgs,
 				core.RunOptions{}, bytes.NewReader(bcTrace.Bytes()))
 			check("replay-bytecode-trace", rep, err)
-			if !bytes.Equal(twTrace.Bytes(), bcTrace.Bytes()) {
+			if !bytes.Equal(twTrace, bcTrace.Bytes()) {
 				t.Errorf("binary event traces differ between engines (%d vs %d bytes)",
-					twTrace.Len(), bcTrace.Len())
+					len(twTrace), bcTrace.Len())
 			}
 		})
 	}
@@ -106,22 +135,18 @@ func TestBytecodeBudgetExhaustionParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, budget := range []int64{1, 7, 100, 4097, 50_000} {
-				tw, errT := core.Run(info, cfg, core.RunOptions{
-					Engine: core.EngineTreewalk, MaxSteps: budget})
-				bc, errB := core.Run(info, cfg, core.RunOptions{
-					Engine: core.EngineBytecode, MaxSteps: budget})
+				twTrace, errT := treewalk(info, budget)
+				bc, errB := core.Run(info, cfg, core.RunOptions{MaxSteps: budget})
 				if (errT == nil) != (errB == nil) {
 					t.Fatalf("budget %d: failure divergence: treewalk=%v bytecode=%v", budget, errT, errB)
 				}
 				if errT != nil {
-					if !errors.Is(errB, core.ErrStepLimit) {
-						t.Fatalf("budget %d: bytecode error outside taxonomy: %v", budget, errB)
-					}
-					if errT.Error() != errB.Error() {
-						t.Fatalf("budget %d: error text divergence:\ntreewalk: %v\nbytecode: %v",
-							budget, errT, errB)
-					}
+					engineErrParity(t, errT, errB, core.ErrStepLimit)
 					continue
+				}
+				tw, err := core.ReplayTrace(b.Name, info, cfg, core.RunOptions{}, bytes.NewReader(twTrace))
+				if err != nil {
+					t.Fatalf("budget %d: treewalk replay: %v", budget, err)
 				}
 				if !reflect.DeepEqual(tw, bc) {
 					t.Errorf("budget %d: reports diverge", budget)
@@ -175,20 +200,12 @@ func main() int {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, errT := core.Run(info, cfg, core.RunOptions{Engine: core.EngineTreewalk})
-			_, errB := core.Run(info, cfg, core.RunOptions{Engine: core.EngineBytecode})
+			_, errT := treewalk(info, 0)
+			_, errB := core.Run(info, cfg, core.RunOptions{})
 			if errT == nil || errB == nil {
 				t.Fatalf("expected a trap: treewalk=%v bytecode=%v", errT, errB)
 			}
-			if !errors.Is(errB, core.ErrRuntime) {
-				t.Fatalf("bytecode error outside taxonomy: %v", errB)
-			}
-			if errT.Error() != errB.Error() {
-				t.Fatalf("error text divergence:\ntreewalk: %v\nbytecode: %v", errT, errB)
-			}
-			if core.Classify(errT) != core.Classify(errB) {
-				t.Fatalf("outcome divergence: %v vs %v", core.Classify(errT), core.Classify(errB))
-			}
+			engineErrParity(t, errT, errB, core.ErrRuntime)
 		})
 	}
 }

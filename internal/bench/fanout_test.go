@@ -3,25 +3,42 @@ package bench
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"loopapalooza/internal/core"
 )
 
+// fanoutSets are the configuration sets the fan-out oracle evaluates as
+// one batch each: the oracle grid; one- and two-configuration sets, the
+// smallest batches; a four-configuration mix; and, outside -short, the
+// paper grid twice over, so duplicate configurations share one coalesced
+// engine class.
+func fanoutSets(short bool) map[string][]core.Config {
+	sets := map[string][]core.Config{
+		"oracle": OracleConfigs(short),
+		"one":    {core.BestHELIX()},
+		"two":    {{Model: core.DOALL}, core.BestPDOALL()},
+		"four":   {{Model: core.DOALL}, {Model: core.PDOALL}, core.BestPDOALL(), core.BestHELIX()},
+	}
+	if !short {
+		sets["paper-twice"] = append(core.PaperConfigs(), core.PaperConfigs()...)
+	}
+	return sets
+}
+
 // TestFanoutDifferentialOracle is the acceptance oracle of the run-once
-// layer: for every benchmark of the suite, both fan-out strategies AND a
-// recorded-trace replay must produce Reports bit-identical to per-config
-// core.Run, across the DOALL/PDOALL/HELIX oracle grid.
+// layer: for every benchmark of the suite and every set of fanoutSets,
+// core.MultiRun AND a replay of the recorded trace through
+// core.ReplayTraceMulti must produce Reports bit-identical to per-config
+// core.Run.
 func TestFanoutDifferentialOracle(t *testing.T) {
 	benchmarks := All()
 	if len(benchmarks) == 0 {
 		t.Fatal("no registered benchmarks")
 	}
-	cfgs := oracleConfigs(testing.Short())
+	sets := fanoutSets(testing.Short())
 	for _, b := range benchmarks {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -30,77 +47,45 @@ func TestFanoutDifferentialOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Reference: one isolated execution per configuration,
-			// recording the trace alongside the first.
+			// Reference: one isolated execution per distinct
+			// configuration, recording the trace alongside the first.
 			var trace bytes.Buffer
-			want := make([]*core.Report, len(cfgs))
-			for i, cfg := range cfgs {
-				opts := core.RunOptions{}
-				if i == 0 {
-					opts.Trace = &trace
-				}
-				if want[i], err = core.Run(info, cfg, opts); err != nil {
-					t.Fatalf("%s: %v", cfg, err)
-				}
-			}
-			check := func(kind string, got []*core.Report, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("%s: %v", kind, err)
-				}
-				for i := range cfgs {
-					if err := core.CompareReports(want[i], got[i]); err != nil {
-						t.Errorf("%s/%s: %v", kind, cfgs[i], err)
+			want := map[core.Config]*core.Report{}
+			for _, cfgs := range sets {
+				for _, cfg := range cfgs {
+					if want[cfg] != nil {
+						continue
+					}
+					opts := core.RunOptions{}
+					if trace.Len() == 0 {
+						opts.Trace = &trace
+					}
+					if want[cfg], err = core.Run(info, cfg, opts); err != nil {
+						t.Fatalf("%s: %v", cfg, err)
 					}
 				}
 			}
-			seq, err := core.MultiRunSequential(info, cfgs, core.RunOptions{})
-			check("sequential", seq, err)
-			con, err := core.MultiRunConcurrent(info, cfgs, core.RunOptions{})
-			check("concurrent", con, err)
-			for _, p := range []int{1, 2, runtime.NumCPU()} {
-				par, err := core.MultiRunParallel(info, cfgs, core.RunOptions{Parallelism: p})
-				check(fmt.Sprintf("parallel-p%d", p), par, err)
+			for name, cfgs := range sets {
+				check := func(path string, got []*core.Report, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("%s/%s: %v", name, path, err)
+					}
+					if len(got) != len(cfgs) {
+						t.Fatalf("%s/%s: %d reports, want %d", name, path, len(got), len(cfgs))
+					}
+					for i, cfg := range cfgs {
+						if err := core.CompareReports(want[cfg], got[i]); err != nil {
+							t.Errorf("%s/%s/%s: %v", name, path, cfg, err)
+						}
+					}
+				}
+				reps, err := core.MultiRun(info, cfgs, core.RunOptions{})
+				check("multirun", reps, err)
+				reps, err = core.ReplayTraceMulti(b.Name, info, cfgs, core.RunOptions{}, bytes.NewReader(trace.Bytes()))
+				check("replay", reps, err)
 			}
-			rep, err := core.ReplayTraceMulti(b.Name, info, cfgs, core.RunOptions{}, bytes.NewReader(trace.Bytes()))
-			check("replay", rep, err)
 		})
-	}
-}
-
-// TestFanoutRaceStress feeds ≥8 concurrent engines from one execution on
-// the kernels with the densest event streams. Run under -race (make race)
-// this is the data-race gate for the chunked fan-out.
-func TestFanoutRaceStress(t *testing.T) {
-	cfgs := append(core.PaperConfigs(), core.BestPDOALL(), core.BestHELIX())
-	if len(cfgs) < 8 {
-		t.Fatalf("stress needs ≥8 engines, have %d", len(cfgs))
-	}
-	for _, name := range []string{"181.mcf", "183.equake", "aifirf"} {
-		b := ByName(name)
-		if b == nil {
-			t.Fatalf("benchmark %s not registered", name)
-		}
-		info, err := b.Analyze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps, err := core.MultiRunConcurrent(info, cfgs, core.RunOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(reps) != len(cfgs) {
-			t.Fatalf("%s: %d reports, want %d", name, len(reps), len(cfgs))
-		}
-		// The pool shape with shared workers: every engine class reads the
-		// same sealed chunks and span summaries from fewer goroutines.
-		reps, err = core.MultiRunParallel(info, cfgs, core.RunOptions{Parallelism: 2})
-		if err != nil {
-			t.Fatalf("%s: parallel p=2: %v", name, err)
-		}
-		if len(reps) != len(cfgs) {
-			t.Fatalf("%s: parallel p=2: %d reports, want %d", name, len(reps), len(cfgs))
-		}
 	}
 }
 
@@ -119,29 +104,32 @@ func sweepBenches(t *testing.T) []*Benchmark {
 }
 
 // TestHarnessFanoutDedup: a sweep executes each benchmark once regardless
-// of configuration count, produces cells identical to a fan-out-disabled
-// harness, and a follow-up sweep only executes the genuinely new cells.
+// of configuration count, produces cells identical to per-config core.Run,
+// and a follow-up sweep only executes the genuinely new cells.
 func TestHarnessFanoutDedup(t *testing.T) {
 	benches := sweepBenches(t)
 	cfgs := []core.Config{{Model: core.DOALL}, core.BestPDOALL(), core.BestHELIX()}
 
 	fan := NewHarness()
-	per := NewHarnessWith(HarnessOptions{DisableFanout: true})
 	got := fan.Sweep(context.Background(), benches, cfgs)
-	want := per.Sweep(context.Background(), benches, cfgs)
-	if len(got.Cells) != len(want.Cells) {
-		t.Fatalf("cell count %d vs %d", len(got.Cells), len(want.Cells))
+	if len(got.Cells) != len(benches)*len(cfgs) {
+		t.Fatalf("cell count %d, want %d", len(got.Cells), len(benches)*len(cfgs))
 	}
-	for i := range got.Cells {
-		g, w := got.Cells[i], want.Cells[i]
-		if g.Bench != w.Bench || g.Config != w.Config {
-			t.Fatalf("cell %d order diverged: %s/%s vs %s/%s", i, g.Bench, g.Config, w.Bench, w.Config)
+	for i, g := range got.Cells {
+		b, cfg := benches[i/len(cfgs)], cfgs[i%len(cfgs)]
+		if g.Bench != b.Name || g.Config != cfg {
+			t.Fatalf("cell %d order diverged: %s/%s, want %s/%s", i, g.Bench, g.Config, b.Name, cfg)
 		}
-		if (g.Err == nil) != (w.Err == nil) {
-			t.Fatalf("cell %d error divergence: %v vs %v", i, g.Err, w.Err)
+		info, err := b.Analyze()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if g.Err == nil {
-			if err := core.CompareReports(w.Report, g.Report); err != nil {
+		want, err := core.Run(info, cfg, core.RunOptions{})
+		if (g.Err == nil) != (err == nil) {
+			t.Fatalf("cell %d error divergence: %v vs %v", i, g.Err, err)
+		}
+		if err == nil {
+			if err := core.CompareReports(want, g.Report); err != nil {
 				t.Errorf("cell %s/%s: %v", g.Bench, g.Config, err)
 			}
 		}
@@ -155,10 +143,6 @@ func TestHarnessFanoutDedup(t *testing.T) {
 	}
 	if st != wantStats {
 		t.Errorf("fan-out stats = %+v, want %+v", st, wantStats)
-	}
-	pst := per.Stats()
-	if pst.Saved != 0 || pst.Executions != int64(len(benches)*len(cfgs)) {
-		t.Errorf("per-config stats = %+v, want %d executions, 0 saved", pst, len(benches)*len(cfgs))
 	}
 
 	// A second sweep adding one config re-executes each benchmark once for

@@ -19,19 +19,11 @@ import (
 //   - every report is self-consistent and anomaly-free, with speedup ≥ 1
 //     (core.VerifyReport);
 //   - partial DOALL subsumes DOALL under equal flags
-//     (core.CheckModelOrdering);
-//   - the dependence trackers are interchangeable: shadow-memory and
-//     legacy-map runs produce bit-identical reports (core.CompareReports).
-
-// orderingPairs are the (DOALL, PDOALL) flag pairings checked for model
-// dominance. DOALL only validates with dep0, so the pairs span the
-// reduc/fn axes.
-func orderingPairs() [][2]core.Config {
-	return [][2]core.Config{
-		{{Model: core.DOALL, Reduc: 0, Dep: 0, Fn: 0}, {Model: core.PDOALL, Reduc: 0, Dep: 0, Fn: 0}},
-		{{Model: core.DOALL, Reduc: 1, Dep: 0, Fn: 2}, {Model: core.PDOALL, Reduc: 1, Dep: 0, Fn: 2}},
-	}
-}
+//     (core.CheckModelOrdering).
+//
+// That the dependence trackers are interchangeable on the same programs
+// is the differential oracle's job (TestShadowTrackerDifferentialOracle
+// and TestShadowTrackerDifferentialGenerated in internal/core).
 
 // checkProgram runs the full metamorphic battery on one LPC program.
 func checkProgram(t *testing.T, name, src string, opts core.RunOptions) {
@@ -45,7 +37,7 @@ func checkProgram(t *testing.T, name, src string, opts core.RunOptions) {
 		t.Fatalf("strict pipeline: %v", err)
 	}
 
-	for _, pair := range orderingPairs() {
+	for _, pair := range OrderingPairs() {
 		var reports [2]*core.Report
 		for i, cfg := range pair {
 			rep, err := core.Run(info, cfg, opts)
@@ -54,15 +46,6 @@ func checkProgram(t *testing.T, name, src string, opts core.RunOptions) {
 			}
 			if verr := core.VerifyReport(rep); verr != nil {
 				t.Errorf("%s: %v", cfg, verr)
-			}
-			mapOpts := opts
-			mapOpts.Tracker = core.TrackerLegacyMap
-			repMap, err := core.Run(info, cfg, mapOpts)
-			if err != nil {
-				t.Fatalf("%s (legacy tracker): %v", cfg, err)
-			}
-			if cerr := core.CompareReports(rep, repMap); cerr != nil {
-				t.Errorf("%s: %v", cfg, cerr)
 			}
 			reports[i] = rep
 		}

@@ -2,59 +2,16 @@ package bench
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"loopapalooza/internal/core"
 )
 
-// sweepConfigs is the macro-benchmark configuration grid: one config per
-// execution model at permissive flags, the shape of a figure regeneration.
-func sweepConfigs() []core.Config {
-	return []core.Config{
-		{Model: core.DOALL, Reduc: 1, Dep: 0, Fn: 2},
-		{Model: core.PDOALL, Reduc: 1, Dep: 2, Fn: 2},
-		{Model: core.HELIX, Reduc: 1, Dep: 2, Fn: 2},
-	}
-}
-
-// BenchmarkSweepSuite is the end-to-end macro benchmark: a full sweep of
-// the EEMBC suite across the model grid, through the fault-isolated
-// harness (fresh per op, so every op re-runs every cell; the per-benchmark
-// analysis once-cells are process-wide and shared, as in production
-// figure regeneration). Sub-benchmarks select the dependence tracker.
-func BenchmarkSweepSuite(b *testing.B) {
-	benches := BySuite(SuiteEEMBC)
-	if len(benches) == 0 {
-		b.Fatal("no EEMBC benchmarks registered")
-	}
-	// Warm the analysis once-cells so both sub-benchmarks measure pure
-	// sweep execution.
-	for _, bm := range benches {
-		if _, err := bm.Analyze(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, kind := range []core.TrackerKind{core.TrackerShadow, core.TrackerLegacyMap} {
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := NewHarnessWith(HarnessOptions{Run: core.RunOptions{Tracker: kind}})
-				sr := h.Sweep(context.Background(), benches, sweepConfigs())
-				if sr.OK() != len(benches)*len(sweepConfigs()) {
-					b.Fatalf("sweep failures: %s", sr.Summary())
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSweepFanout measures the full fourteen-configuration paper-grid
-// sweep of the EEMBC suite with the run-once fan-out against the
-// one-execution-per-cell baseline — the headline number of the run-once
-// layer (BENCH_PR5.json's fanout_vs_perconfig table). Reports are
-// bit-identical between the two modes; only the interpretation count
-// differs (1 vs 14 per benchmark).
+// sweep of the EEMBC suite through the run-once fan-out: each benchmark is
+// interpreted once and its event stream feeds every configuration's
+// engine through core.MultiRun. A fresh harness per op re-runs every
+// cell; the per-benchmark analysis once-cells are warmed first.
 func BenchmarkSweepFanout(b *testing.B) {
 	benches := BySuite(SuiteEEMBC)
 	if len(benches) == 0 {
@@ -66,91 +23,15 @@ func BenchmarkSweepFanout(b *testing.B) {
 		}
 	}
 	cfgs := core.PaperConfigs()
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"fanout", false}, {"per-config", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := NewHarnessWith(HarnessOptions{DisableFanout: mode.disable})
-				sr := h.Sweep(context.Background(), benches, cfgs)
-				if sr.OK() != len(benches)*len(cfgs) {
-					b.Fatalf("sweep failures: %s", sr.Summary())
-				}
+	// The sub-benchmark name keeps the series comparable with earlier
+	// BENCH_*.json records.
+	b.Run("fanout", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sr := NewHarness().Sweep(context.Background(), benches, cfgs)
+			if sr.OK() != len(benches)*len(cfgs) {
+				b.Fatalf("sweep failures: %s", sr.Summary())
 			}
-		})
-	}
-}
-
-// BenchmarkSweepBatched measures the batched chunk-replay tracker path
-// against per-event hook dispatch over the same run-once fan-out: the full
-// paper-grid sweep of the EEMBC suite, with core.MultiRun feeding engines
-// whole sealed chunks (one tracker call per memory span per instance)
-// versus dispatching every event through the interp.Hooks interface.
-// Reports are bit-identical between the two modes — the differential
-// oracles pin that — so this pair isolates the dispatch-amortization win
-// (BENCH_PR9.json's batched_vs_perevent table).
-// BenchmarkSweepParallel measures the cross-core fan-out pool against the
-// single-goroutine chunked path on the same run-once sweep: the full
-// paper-grid sweep of the EEMBC suite at Parallelism 1 (serial, chunked
-// replay on one goroutine) versus one pool worker per CPU (engine classes
-// sharded by class affinity, all reading the shared span summaries).
-// Reports are bit-identical at every width — the differential oracles pin
-// that — so this pair isolates the multi-core scaling win
-// (BENCH_PR10.json's parallel_vs_serial table).
-func BenchmarkSweepParallel(b *testing.B) {
-	benches := BySuite(SuiteEEMBC)
-	if len(benches) == 0 {
-		b.Fatal("no EEMBC benchmarks registered")
-	}
-	for _, bm := range benches {
-		if _, err := bm.Analyze(); err != nil {
-			b.Fatal(err)
 		}
-	}
-	cfgs := core.PaperConfigs()
-	for _, mode := range []struct {
-		name string
-		p    int
-	}{{"serial", 1}, {"parallel", runtime.NumCPU()}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := NewHarnessWith(HarnessOptions{Run: core.RunOptions{Parallelism: mode.p}})
-				sr := h.Sweep(context.Background(), benches, cfgs)
-				if sr.OK() != len(benches)*len(cfgs) {
-					b.Fatalf("sweep failures: %s", sr.Summary())
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSweepBatched(b *testing.B) {
-	benches := BySuite(SuiteEEMBC)
-	if len(benches) == 0 {
-		b.Fatal("no EEMBC benchmarks registered")
-	}
-	for _, bm := range benches {
-		if _, err := bm.Analyze(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	cfgs := core.PaperConfigs()
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"batched", false}, {"per-event", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := NewHarnessWith(HarnessOptions{Run: core.RunOptions{DisableBatch: mode.disable}})
-				sr := h.Sweep(context.Background(), benches, cfgs)
-				if sr.OK() != len(benches)*len(cfgs) {
-					b.Fatalf("sweep failures: %s", sr.Summary())
-				}
-			}
-		})
-	}
+	})
 }

@@ -21,7 +21,7 @@ import (
 //
 // Dependence storage lives behind a depTracker: the default shadow memory
 // (flat generation-stamped tables) or the legacy per-instance maps kept as
-// a differential oracle (see TrackerKind).
+// a differential oracle (see trackerKind).
 type Engine struct {
 	info *analysis.ModuleInfo
 	cfg  Config
@@ -177,12 +177,12 @@ type writeRec struct {
 // NewEngine prepares an engine for one run of one configuration, using the
 // default shadow-memory tracker. The configuration must Validate.
 func NewEngine(info *analysis.ModuleInfo, cfg Config) *Engine {
-	return NewEngineTracker(info, cfg, TrackerShadow)
+	return newEngineTracker(info, cfg, trackerShadow)
 }
 
-// NewEngineTracker is NewEngine with an explicit dependence-tracker choice;
+// newEngineTracker is NewEngine with an explicit dependence-tracker choice;
 // the differential-oracle tests use it to compare both implementations.
-func NewEngineTracker(info *analysis.ModuleInfo, cfg Config, kind TrackerKind) *Engine {
+func newEngineTracker(info *analysis.ModuleInfo, cfg Config, kind trackerKind) *Engine {
 	e := &Engine{
 		info:  info,
 		cfg:   cfg,
@@ -636,7 +636,7 @@ func (e *Engine) Store(addr int64) {
 	}
 }
 
-// memSpan applies one run of mixed load/store/tick records — a sealed
+// memSpan applies one run of mixed load/store/tick records — a
 // chunk's memory span — through the batched tracker path.
 //
 // The run is processed instance-major: each live instance resolves the

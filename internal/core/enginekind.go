@@ -1,54 +1,34 @@
 package core
 
 import (
-	"fmt"
-
 	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/bytecode"
 	"loopapalooza/internal/interp"
 )
 
-// EngineKind selects the execution engine that produces the
+// engineKind selects the execution engine that produces the
 // instrumentation event stream. The two engines are semantically
 // identical — the tree-walker is kept as the differential oracle for the
-// bytecode VM — so the choice only affects performance.
-type EngineKind int
+// bytecode VM, reachable only from tests — so the choice only affects
+// performance.
+type engineKind int
 
 const (
-	// EngineBytecode is the default: each function lowers once (cached on
-	// the ModuleInfo) to register-based bytecode with type-specialized
-	// opcodes and fused superinstructions, executed by a flat dispatch
-	// loop.
-	EngineBytecode EngineKind = iota
-	// EngineTreewalk is the original per-instruction walk over the IR,
+	// engineBytecode is the production engine: each function lowers once
+	// (cached on the ModuleInfo) to register-based bytecode with
+	// type-specialized opcodes and fused superinstructions, executed by a
+	// flat dispatch loop.
+	engineBytecode engineKind = iota
+	// engineTreewalk is the original per-instruction walk over the IR,
 	// retained as the correctness oracle.
-	EngineTreewalk
+	engineTreewalk
 )
-
-// String names the engine kind.
-func (k EngineKind) String() string {
-	if k == EngineTreewalk {
-		return "treewalk"
-	}
-	return "bytecode"
-}
-
-// ParseEngineKind maps a CLI flag value to an EngineKind.
-func ParseEngineKind(s string) (EngineKind, error) {
-	switch s {
-	case "bytecode", "":
-		return EngineBytecode, nil
-	case "treewalk":
-		return EngineTreewalk, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want bytecode or treewalk)", s)
-}
 
 // execute runs main under the selected engine. Both paths construct their
 // execution context fresh (globals laid out under the memory budget) and
 // fire the identical hook stream into hooks.
-func execute(info *analysis.ModuleInfo, kind EngineKind, cfg interp.Config, args []interp.Val) (interp.Result, error) {
-	if kind == EngineTreewalk {
+func execute(info *analysis.ModuleInfo, kind engineKind, cfg interp.Config, args []interp.Val) (interp.Result, error) {
+	if kind == engineTreewalk {
 		return interp.New(info, cfg).Run("main", args...)
 	}
 	prog, err := bytecode.For(info)

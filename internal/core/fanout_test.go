@@ -3,14 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
 	"loopapalooza/internal/analysis"
-	"loopapalooza/internal/interp"
-	"loopapalooza/internal/ir"
 )
 
 // fanoutSamples covers the dependence shapes the engines care about:
@@ -28,36 +24,12 @@ var fanoutSamples = map[string]string{
 	"stack":         stackSrc,
 }
 
-// parallelAt pins the class-affinity pool at an explicit worker count.
-func parallelAt(p int, disableBatch bool) func(*analysis.ModuleInfo, []Config, RunOptions) ([]*Report, error) {
-	return func(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) ([]*Report, error) {
-		opts.Parallelism = p
-		opts.DisableBatch = disableBatch
-		return MultiRunParallel(info, cfgs, opts)
-	}
-}
-
-// multiStrategies pins every fan-out strategy regardless of config count
-// or GOMAXPROCS, including the worker pool at fixed widths: 1 worker (all
-// classes on one goroutine), 2 (classes split), NumCPU (the auto width),
-// and a per-event pool variant.
-var multiStrategies = map[string]func(*analysis.ModuleInfo, []Config, RunOptions) ([]*Report, error){
-	"sequential": MultiRunSequential,
-	"concurrent": MultiRunConcurrent,
-	"chunked":    MultiRunChunked,
-	"concurrent-no-batch": func(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) ([]*Report, error) {
-		opts.DisableBatch = true
-		return MultiRunConcurrent(info, cfgs, opts)
-	},
-	"parallel-p1":          parallelAt(1, false),
-	"parallel-p2":          parallelAt(2, false),
-	"parallel-pcpu":        parallelAt(runtime.NumCPU(), false),
-	"parallel-p3-no-batch": parallelAt(3, true),
-}
-
 // TestMultiRunBitIdentical is the in-package differential oracle: for every
-// sample program, one MultiRun over the full paper grid must produce
-// reports bit-identical to running each configuration separately.
+// sample program, one MultiRun over the full paper grid — and a replay of
+// the trace that MultiRun recorded — must produce reports bit-identical to
+// running each configuration separately, and MultiRun must record the
+// same trace bytes as a per-config Run, so traces from either path are
+// interchangeable.
 func TestMultiRunBitIdentical(t *testing.T) {
 	cfgs := PaperConfigs()
 	for name, src := range fanoutSamples {
@@ -65,52 +37,38 @@ func TestMultiRunBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		var runTrace bytes.Buffer
 		want := make([]*Report, len(cfgs))
 		for i, cfg := range cfgs {
-			if want[i], err = Run(info, cfg, RunOptions{}); err != nil {
+			opts := RunOptions{}
+			if i == 0 {
+				opts.Trace = &runTrace
+			}
+			if want[i], err = Run(info, cfg, opts); err != nil {
 				t.Fatalf("%s/%s: %v", name, cfg, err)
 			}
 		}
-		for strat, run := range multiStrategies {
-			got, err := run(info, cfgs, RunOptions{})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, strat, err)
-			}
+		var trace bytes.Buffer
+		multi, err := MultiRun(info, cfgs, RunOptions{Trace: &trace})
+		if err != nil {
+			t.Fatalf("%s: MultiRun: %v", name, err)
+		}
+		if !bytes.Equal(trace.Bytes(), runTrace.Bytes()) {
+			t.Errorf("%s: MultiRun trace (%d bytes) differs from the Run trace (%d bytes)",
+				name, trace.Len(), runTrace.Len())
+		}
+		replayed, err := ReplayTraceMulti(name, info, cfgs, RunOptions{}, bytes.NewReader(trace.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: replay: %v", name, err)
+		}
+		for path, got := range map[string][]*Report{"multirun": multi, "replay": replayed} {
 			if len(got) != len(cfgs) {
-				t.Fatalf("%s/%s: %d reports, want %d", name, strat, len(got), len(cfgs))
+				t.Fatalf("%s/%s: %d reports, want %d", name, path, len(got), len(cfgs))
 			}
 			for i := range cfgs {
 				if err := CompareReports(want[i], got[i]); err != nil {
-					t.Errorf("%s/%s/%s: %v", name, strat, cfgs[i], err)
+					t.Errorf("%s/%s/%s: %v", name, path, cfgs[i], err)
 				}
-			}
-		}
-	}
-}
-
-// TestMultiRunAutoSelect exercises MultiRun's strategy choice on both sides
-// of the threshold.
-func TestMultiRunAutoSelect(t *testing.T) {
-	info, err := AnalyzeSource("auto", infrequentSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfgs := range [][]Config{
-		{{Model: DOALL}, BestPDOALL()},                                  // below threshold: sequential tee
-		{{Model: DOALL}, {Model: PDOALL}, BestPDOALL(), BestHELIX()},    // at threshold: concurrent
-		append(PaperConfigs(), PaperConfigs()...),                       // well above: concurrent
-	} {
-		got, err := MultiRun(info, cfgs, RunOptions{})
-		if err != nil {
-			t.Fatalf("MultiRun(%d cfgs): %v", len(cfgs), err)
-		}
-		for i, cfg := range cfgs {
-			want, err := Run(info, cfg, RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := CompareReports(want, got[i]); err != nil {
-				t.Errorf("%d cfgs, cell %d (%s): %v", len(cfgs), i, cfg, err)
 			}
 		}
 	}
@@ -124,32 +82,116 @@ func TestMultiRunEmptyAndInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for strat, run := range multiStrategies {
-		reps, err := run(info, nil, RunOptions{})
-		if err != nil || len(reps) != 0 {
-			t.Errorf("%s: empty cfgs = (%v, %v), want no reports, no error", strat, reps, err)
-		}
-		bad := []Config{{Model: DOALL}, {Model: DOALL, Dep: 99}}
-		if _, err := run(info, bad, RunOptions{}); err == nil {
-			t.Errorf("%s: invalid config accepted", strat)
-		}
+	reps, err := MultiRun(info, nil, RunOptions{})
+	if err != nil || len(reps) != 0 {
+		t.Errorf("empty cfgs = (%v, %v), want no reports, no error", reps, err)
+	}
+	bad := []Config{{Model: DOALL}, {Model: DOALL, Dep: 99}}
+	if _, err := MultiRun(info, bad, RunOptions{}); err == nil {
+		t.Error("invalid config accepted")
 	}
 }
 
 // TestMultiRunExecutionError: a budget trip surfaces once, classified
-// exactly as a per-config Run would classify it, from both strategies.
+// exactly as a per-config Run would classify it.
 func TestMultiRunExecutionError(t *testing.T) {
 	info, err := AnalyzeSource("budget", doallSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgs := []Config{{Model: DOALL}, BestPDOALL(), BestHELIX(), {Model: PDOALL}}
-	for strat, run := range multiStrategies {
-		_, err := run(info, cfgs, RunOptions{MaxSteps: 10})
-		if !errors.Is(err, ErrStepLimit) {
-			t.Errorf("%s: err = %v, want ErrStepLimit", strat, err)
+	if _, err := MultiRun(info, cfgs, RunOptions{MaxSteps: 10}); !errors.Is(err, ErrStepLimit) {
+		t.Errorf("err = %v, want ErrStepLimit", err)
+	}
+}
+
+// predictorPanicSrc runs one loop whose non-computable register LCD (x)
+// feeds the dep2 predictors; the print ahead of it gives the test a hook
+// that fires after MultiRun built its engines but before the loop runs.
+const predictorPanicSrc = `
+var a [64]int;
+func main() int {
+	print_i64(0);
+	var x int = 1;
+	var i int;
+	for (i = 0; i < 64; i = i + 1) {
+		a[i] = x;
+		x = (x * 7 + i) % 61;
+	}
+	return x;
+}`
+
+// onFirstIO runs fn on the first Read or Write it sees, then forwards
+// reads to r and discards writes.
+type onFirstIO struct {
+	fn   func()
+	done bool
+	r    *bytes.Reader
+}
+
+func (o *onFirstIO) fire() {
+	if !o.done {
+		o.done = true
+		o.fn()
+	}
+}
+
+func (o *onFirstIO) Write(p []byte) (int, error) { o.fire(); return len(p), nil }
+func (o *onFirstIO) Read(p []byte) (int, error)  { o.fire(); return o.r.Read(p) }
+
+// TestFanoutEnginePanicIsTyped: a panic inside engine replay surfaces from
+// MultiRun and ReplayTraceMulti as a classified *PanicError instead of
+// crashing the caller. The panic is provoked by building the engines while
+// the loop's observed-LCD list is hidden — so its dep2 predictor table is
+// empty — and restoring the list before any iteration event reaches them
+// (on the guest's first print, or the trace reader's first read): the
+// first replayed IterLoop then indexes the empty predictor table.
+func TestFanoutEnginePanicIsTyped(t *testing.T) {
+	cfgs := []Config{{Model: PDOALL, Reduc: 1, Dep: 2, Fn: 2}, BestHELIX()}
+	// setup analyzes and lowers the sample, records its trace, and hides
+	// the LCD loop's observed list, returning the function restoring it.
+	setup := func(t *testing.T) (*analysis.ModuleInfo, []byte, func()) {
+		t.Helper()
+		info, err := AnalyzeSource("panic", predictorPanicSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace bytes.Buffer
+		if _, err := Run(info, cfgs[0], RunOptions{Trace: &trace}); err != nil {
+			t.Fatal(err)
+		}
+		for _, lm := range info.Loops {
+			if len(lm.NonComputable) > 0 {
+				observed := lm.Observed
+				lm.Observed = nil
+				return info, trace.Bytes(), func() { lm.Observed = observed }
+			}
+		}
+		t.Fatal("sample has no loop with a non-computable LCD")
+		return nil, nil, nil
+	}
+	check := func(t *testing.T, err error) {
+		t.Helper()
+		var pe *PanicError
+		if !errors.As(err, &pe) || Classify(err) != OutcomePanic {
+			t.Fatalf("err = %v, want a classified *PanicError", err)
+		}
+		if !strings.Contains(pe.Stack, "replayChunkBatched") {
+			t.Errorf("panic did not come from engine replay:\n%s", pe.Stack)
 		}
 	}
+
+	t.Run("multirun", func(t *testing.T) {
+		info, _, restore := setup(t)
+		_, err := MultiRun(info, cfgs, RunOptions{Out: &onFirstIO{fn: restore}})
+		check(t, err)
+	})
+	t.Run("replay", func(t *testing.T) {
+		info, trace, restore := setup(t)
+		_, err := ReplayTraceMulti("panic", info, cfgs, RunOptions{},
+			&onFirstIO{fn: restore, r: bytes.NewReader(trace)})
+		check(t, err)
+	})
 }
 
 // failWriter fails after n bytes, exercising the sticky trace-error path.
@@ -166,177 +208,20 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 // TestMultiRunTraceWriteFailure: a failing trace sink fails the run from
-// every entry point that records.
+// both entry points that record.
 func TestMultiRunTraceWriteFailure(t *testing.T) {
 	info, err := AnalyzeSource("sink", doallSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgs := []Config{{Model: DOALL}, BestPDOALL(), BestHELIX(), {Model: PDOALL}}
-	for strat, run := range multiStrategies {
-		_, err := run(info, cfgs, RunOptions{Trace: &failWriter{n: 100}})
-		if err == nil || !strings.Contains(err.Error(), "writing trace") {
-			t.Errorf("%s: err = %v, want trace write failure", strat, err)
-		}
+	if _, err := MultiRun(info, cfgs, RunOptions{Trace: &failWriter{n: 100}}); err == nil ||
+		!strings.Contains(err.Error(), "writing trace") {
+		t.Errorf("MultiRun: err = %v, want trace write failure", err)
 	}
 	if _, err := Run(info, Config{Model: DOALL}, RunOptions{Trace: &failWriter{n: 100}}); err == nil ||
 		!strings.Contains(err.Error(), "writing trace") {
 		t.Errorf("Run: err = %v, want trace write failure", err)
-	}
-}
-
-// eventLog records every hook event in a retained, comparable form — the
-// reference consumer for the chunk fan-out round trip.
-type eventLog struct{ events []string }
-
-func (l *eventLog) Tick(n int64) { l.events = append(l.events, fmt.Sprintf("tick %d", n)) }
-
-func (l *eventLog) EnterLoop(lm *analysis.LoopMeta, sp int64, init []interp.Val) {
-	l.events = append(l.events, fmt.Sprintf("enter %s sp=%d init=%v", lm.ID(), sp, init))
-}
-
-func (l *eventLog) IterLoop(lm *analysis.LoopMeta, sp int64, obs []interp.LCDObs) {
-	l.events = append(l.events, fmt.Sprintf("iter %s sp=%d obs=%v", lm.ID(), sp, obs))
-}
-
-func (l *eventLog) ExitLoop(lm *analysis.LoopMeta) {
-	l.events = append(l.events, fmt.Sprintf("exit %s", lm.ID()))
-}
-
-func (l *eventLog) Load(addr int64)  { l.events = append(l.events, fmt.Sprintf("load %d", addr)) }
-func (l *eventLog) Store(addr int64) { l.events = append(l.events, fmt.Sprintf("store %d", addr)) }
-
-// TestChunkFanoutPreservesEventStream drives the chunk machinery directly:
-// every consumer must observe the exact event sequence the producer saw,
-// across multiple chunk publications and pool reuse, with scratch buffers
-// mutated after every event (the aliasing hazard the copy exists for).
-func TestChunkFanoutPreservesEventStream(t *testing.T) {
-	info, err := AnalyzeSource("chunks", doallSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm := info.Loops[0]
-
-	emit := func(h interp.Hooks) {
-		scratchV := make([]interp.Val, 1)
-		scratchO := make([]interp.LCDObs, 2)
-		// 3 full chunks and a partial tail.
-		for i := 0; i < 3*chunkRecs+17; i++ {
-			switch i % 5 {
-			case 0:
-				h.Tick(int64(i))
-			case 1:
-				scratchV[0] = interp.Val{K: ir.KInt, I: int64(i)}
-				h.EnterLoop(lm, int64(1000+i), scratchV)
-				scratchV[0] = interp.Val{K: ir.KInt, I: -1} // stale scratch
-			case 2:
-				scratchO[0] = interp.LCDObs{Val: interp.Val{K: ir.KFloat, F: float64(i) / 3}, DefTick: int64(i)}
-				scratchO[1] = interp.LCDObs{Val: interp.Val{K: ir.KBool, I: int64(i % 2)}, DefTick: 7}
-				h.IterLoop(lm, int64(i), scratchO)
-				scratchO[0], scratchO[1] = interp.LCDObs{}, interp.LCDObs{} // stale scratch
-			case 3:
-				h.Load(int64(i * 8))
-			case 4:
-				h.Store(int64(i * 8))
-			}
-		}
-		h.ExitLoop(lm)
-	}
-
-	var want eventLog
-	emit(&want)
-
-	const consumers = 3
-	logs := make([]eventLog, consumers)
-	f := newChunkFanout(consumers)
-	done := make(chan struct{})
-	for i := 0; i < consumers; i++ {
-		go func(i int) {
-			defer func() { done <- struct{}{} }()
-			for c := range f.outs[i] {
-				replayChunk(&logs[i], c)
-				if c.refs.Add(-1) == 0 {
-					f.release(c)
-				}
-			}
-		}(i)
-	}
-	emit(f)
-	f.close()
-	for i := 0; i < consumers; i++ {
-		<-done
-	}
-
-	for i := range logs {
-		if len(logs[i].events) != len(want.events) {
-			t.Fatalf("consumer %d: %d events, want %d", i, len(logs[i].events), len(want.events))
-		}
-		for j := range want.events {
-			if logs[i].events[j] != want.events[j] {
-				t.Fatalf("consumer %d event %d:\n got %s\nwant %s", i, j, logs[i].events[j], want.events[j])
-			}
-		}
-	}
-}
-
-// panicHook panics on the nth Tick it sees.
-type panicHook struct {
-	interp.NopHooks
-	ticks, fuse int
-}
-
-func (p *panicHook) Tick(int64) {
-	p.ticks++
-	if p.ticks == p.fuse {
-		panic("consumer bug")
-	}
-}
-
-// TestConsumerPanicRecovery: a panic inside one pool worker must surface
-// as a classified *PanicError, workers in other groups must still see the
-// full stream, and the producer must never deadlock (the sick worker keeps
-// draining its channel). Exercised at both pool shapes: one consumer per
-// worker (the classic concurrent fan-out) and multiple consumers sharing
-// the sick worker's group.
-func TestConsumerPanicRecovery(t *testing.T) {
-	for name, groups := range map[string]func(bad interp.Hooks, healthy *eventLog) [][]interp.Hooks{
-		"one-per-worker": func(bad interp.Hooks, healthy *eventLog) [][]interp.Hooks {
-			return [][]interp.Hooks{{bad}, {healthy}}
-		},
-		"shared-group": func(bad interp.Hooks, healthy *eventLog) [][]interp.Hooks {
-			// The sick worker owns another consumer too; only the healthy
-			// worker's group is guaranteed the full stream.
-			return [][]interp.Hooks{{bad, &eventLog{}}, {healthy}}
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			var healthy eventLog
-			bad := &panicHook{fuse: 2}
-			g := groups(bad, &healthy)
-			f := newChunkFanout(len(g))
-			wait := startWorkers(f, g, false)
-
-			// Far more events than the channel depth holds: without
-			// draining, the producer would block on the dead worker's
-			// channel.
-			total := (fanoutPoolSize + fanoutChanDepth + 4) * chunkRecs
-			for i := 0; i < total; i++ {
-				f.Tick(1)
-			}
-			f.close()
-
-			p := wait()
-			if p == nil || p.Val != "consumer bug" {
-				t.Fatalf("panic = %+v, want recovered consumer bug", p)
-			}
-			var pe *PanicError
-			if !errors.As(error(p), &pe) {
-				t.Fatalf("worker panic %T does not unwrap as *PanicError", p)
-			}
-			if len(healthy.events) != total {
-				t.Errorf("healthy worker saw %d events, want %d", len(healthy.events), total)
-			}
-		})
 	}
 }
 
@@ -361,82 +246,5 @@ func TestRunTraceMatchesUntraced(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Error("no trace bytes written")
-	}
-}
-
-// retainingChunkHook violates the replayChunk consumer contract on
-// purpose: it keeps the payload sub-slices instead of copying the
-// elements.
-type retainingChunkHook struct {
-	interp.NopHooks
-	retainedObs  [][]interp.LCDObs
-	retainedVals [][]interp.Val
-}
-
-func (h *retainingChunkHook) IterLoop(lm *analysis.LoopMeta, sp int64, obs []interp.LCDObs) {
-	h.retainedObs = append(h.retainedObs, obs)
-}
-
-func (h *retainingChunkHook) EnterLoop(lm *analysis.LoopMeta, sp int64, init []interp.Val) {
-	h.retainedVals = append(h.retainedVals, init)
-}
-
-// TestReplayChunkPayloadAliasing is interp's TestHooksScratchBufferOwnership
-// transplanted to the batched path: the vals/obs sub-slices replayChunk
-// hands to consumers alias the chunk's flat payload arrays, and chunks are
-// recycled through the fan-out pool — so a consumer that retains them MUST
-// observably read the next filling's data through the stale headers. If
-// this test fails, chunk replay started copying per event and the
-// zero-allocation contract of the chunked strategies is gone.
-func TestReplayChunkPayloadAliasing(t *testing.T) {
-	info, err := AnalyzeSource("alias", doallSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm := info.Loops[0]
-
-	// Payload arrays at full capacity up front, as after one pool cycle in
-	// production: refills append into the same backing.
-	c := &evChunk{
-		recs: make([]evRec, 0, chunkRecs),
-		vals: make([]interp.Val, 0, chunkRecs),
-		obs:  make([]interp.LCDObs, 0, chunkRecs),
-	}
-	w := chunkWriter{cur: c, onFull: func() {}}
-	const events = 4
-	fill := func(base int64) {
-		scratchV := make([]interp.Val, 1)
-		scratchO := make([]interp.LCDObs, 1)
-		for i := int64(0); i < events; i++ {
-			scratchV[0] = interp.Val{K: ir.KInt, I: base + i}
-			w.EnterLoop(lm, 0, scratchV)
-			scratchO[0] = interp.LCDObs{DefTick: base + i}
-			w.IterLoop(lm, 0, scratchO)
-		}
-	}
-	fill(100)
-
-	h := &retainingChunkHook{}
-	replayChunk(h, c)
-	if len(h.retainedObs) != events || len(h.retainedVals) != events {
-		t.Fatalf("saw %d/%d iter/enter events, want %d each", len(h.retainedObs), len(h.retainedVals), events)
-	}
-	for i := range h.retainedObs {
-		if &h.retainedObs[i][0] != &c.obs[i] || &h.retainedVals[i][0] != &c.vals[i] {
-			t.Fatalf("event %d payload does not alias the chunk arrays: replayChunk started copying", i)
-		}
-	}
-
-	// Pool recycling: the chunk resets and refills with new payloads. Every
-	// retained sub-slice must now read the second filling's values.
-	c.reset()
-	fill(900)
-	for i := range h.retainedObs {
-		if got := h.retainedObs[i][0].DefTick; got != 900+int64(i) {
-			t.Errorf("retained obs[%d].DefTick = %d, want %d (chunk reuse must show through the alias)", i, got, 900+i)
-		}
-		if got := h.retainedVals[i][0].I; got != 900+int64(i) {
-			t.Errorf("retained init[%d].I = %d, want %d (chunk reuse must show through the alias)", i, got, 900+i)
-		}
 	}
 }

@@ -10,11 +10,11 @@ import (
 // fuzzRunOpts is the tight execution budget for fuzz runs: big enough that
 // generated loop nests finish, small enough that a pathological input
 // costs milliseconds, not the fuzzer's whole budget.
-func fuzzRunOpts(tracker TrackerKind) RunOptions {
+func fuzzRunOpts(tracker trackerKind) RunOptions {
 	return RunOptions{
 		MaxSteps:     400_000,
 		MaxHeapCells: 1 << 20,
-		Tracker:      tracker,
+		tracker:      tracker,
 	}
 }
 
@@ -69,8 +69,8 @@ func FuzzCompileAndRun(f *testing.F) {
 
 		reports := map[Model]*Report{}
 		for _, cfg := range []Config{doallCfg, pdoallCfg, BestHELIX()} {
-			rep, err := Run(info, cfg, fuzzRunOpts(TrackerShadow))
-			repMap, errMap := Run(info, cfg, fuzzRunOpts(TrackerLegacyMap))
+			rep, err := Run(info, cfg, fuzzRunOpts(trackerShadow))
+			repMap, errMap := Run(info, cfg, fuzzRunOpts(trackerLegacyMap))
 			classifyRunErr(t, err, src)
 			classifyRunErr(t, errMap, src)
 			if (err == nil) != (errMap == nil) {

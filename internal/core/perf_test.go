@@ -23,10 +23,10 @@ func loopInfo(metas ...*analysis.LoopMeta) *analysis.ModuleInfo {
 // shadow/legacy sub-benchmarks with benchstat.
 func BenchmarkEngineLoadStore(b *testing.B) {
 	const window = 4096 // heap working set, words; also the instance length
-	for _, kind := range []TrackerKind{TrackerShadow, TrackerLegacyMap} {
+	for _, kind := range []trackerKind{trackerShadow, trackerLegacyMap} {
 		b.Run(kind.String(), func(b *testing.B) {
 			lm := fakeMeta()
-			e := NewEngineTracker(loopInfo(lm), Config{Model: DOALL}, kind)
+			e := newEngineTracker(loopInfo(lm), Config{Model: DOALL}, kind)
 			e.EnterLoop(lm, interp.StackTop, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -57,10 +57,10 @@ func BenchmarkEngineLoadStore(b *testing.B) {
 // live instances — the per-level cost of the tracker walk.
 func BenchmarkEngineNestedLoadStore(b *testing.B) {
 	const window = 4096
-	for _, kind := range []TrackerKind{TrackerShadow, TrackerLegacyMap} {
+	for _, kind := range []trackerKind{trackerShadow, trackerLegacyMap} {
 		b.Run(kind.String(), func(b *testing.B) {
 			metas := []*analysis.LoopMeta{fakeMeta(), fakeMeta(), fakeMeta()}
-			e := NewEngineTracker(loopInfo(metas...), Config{Model: DOALL}, kind)
+			e := newEngineTracker(loopInfo(metas...), Config{Model: DOALL}, kind)
 			for _, lm := range metas {
 				e.EnterLoop(lm, interp.StackTop, nil)
 			}
@@ -84,10 +84,10 @@ func BenchmarkEngineNestedLoadStore(b *testing.B) {
 // instance records and generation-bump clearing vs per-instance map
 // allocation. Each op is one enter/store/iterate/exit cycle.
 func BenchmarkEngineEnterExit(b *testing.B) {
-	for _, kind := range []TrackerKind{TrackerShadow, TrackerLegacyMap} {
+	for _, kind := range []trackerKind{trackerShadow, trackerLegacyMap} {
 		b.Run(kind.String(), func(b *testing.B) {
 			lm := fakeMeta()
-			e := NewEngineTracker(loopInfo(lm), Config{Model: DOALL}, kind)
+			e := newEngineTracker(loopInfo(lm), Config{Model: DOALL}, kind)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

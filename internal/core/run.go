@@ -30,36 +30,19 @@ type RunOptions struct {
 	Timeout time.Duration
 	// EntryArgs are passed to main (usually none).
 	EntryArgs []interp.Val
-	// Tracker selects the dependence-tracking implementation. The zero
-	// value is the shadow-memory tracker; TrackerLegacyMap keeps the
-	// original map-based write sets (differential-oracle runs).
-	Tracker TrackerKind
-	// Engine selects the execution engine. The zero value is the bytecode
-	// VM; EngineTreewalk keeps the original IR walker
-	// (differential-oracle runs).
-	Engine EngineKind
 	// Trace, when non-nil, receives the binary event trace of the
 	// execution (see TraceWriter), which ReplayTrace can later evaluate
 	// under any configuration without re-executing. A trace write failure
 	// fails the run; the resource budgets above are enforced while
 	// recording.
 	Trace io.Writer
-	// DisableBatch forces MultiRun and trace replay onto the per-event
-	// hook dispatch instead of the batched chunk-replay tracker path —
-	// the profiling and differential toggle behind the `-batch=false`
-	// flags. Reports are bit-identical either way.
-	DisableBatch bool
-	// Strategy selects the MultiRun fan-out strategy. The zero value is
-	// auto: sequential below FanoutThreshold configurations, the chunked
-	// tee with a single worker, the class-affinity parallel pool
-	// otherwise. See PlanFanout for the resolved decision.
-	Strategy FanoutStrategy
-	// Parallelism bounds the parallel fan-out's worker pool: 0 (auto)
-	// means one worker per available CPU (GOMAXPROCS), 1 pins the run to
-	// a single worker, larger values are clamped to the number of
-	// coalesced engine classes. Reports and recorded traces are
-	// bit-identical at every value.
-	Parallelism int
+
+	// engine and tracker select the differential oracles — the
+	// tree-walking interpreter and the legacy map tracker — in place of
+	// the bytecode VM and the shadow-memory tracker. Only tests set them
+	// (see export_test.go); the zero values are the production path.
+	engine  engineKind
+	tracker trackerKind
 }
 
 // Run executes the analyzed module's main function under one configuration
@@ -80,7 +63,7 @@ func Run(info *analysis.ModuleInfo, cfg Config, opts RunOptions) (rep *Report, e
 				&PanicError{Val: r, Stack: string(debug.Stack())})
 		}
 	}()
-	engine := NewEngineTracker(info, cfg, opts.Tracker)
+	engine := newEngineTracker(info, cfg, opts.tracker)
 	var hooks interp.Hooks = engine
 	tw := traceSink(info, opts)
 	if tw != nil {

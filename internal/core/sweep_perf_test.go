@@ -1,0 +1,63 @@
+package core_test
+
+import (
+	"context"
+	"testing"
+
+	"loopapalooza/internal/bench"
+	"loopapalooza/internal/core"
+)
+
+// sweepConfigs is the macro-benchmark configuration grid: one config per
+// execution model at permissive flags, the shape of a figure regeneration.
+func sweepConfigs() []core.Config {
+	return []core.Config{
+		{Model: core.DOALL, Reduc: 1, Dep: 0, Fn: 2},
+		{Model: core.PDOALL, Reduc: 1, Dep: 2, Fn: 2},
+		{Model: core.HELIX, Reduc: 1, Dep: 2, Fn: 2},
+	}
+}
+
+// benchSweep runs b.N full sweeps of the EEMBC suite across the model
+// grid through a fresh fault-isolated harness per op (so every op re-runs
+// every cell), with opts as the per-cell run options. The per-benchmark
+// analysis once-cells are warmed first and shared, as in production
+// figure regeneration.
+func benchSweep(b *testing.B, opts core.RunOptions) {
+	benches := bench.BySuite(bench.SuiteEEMBC)
+	if len(benches) == 0 {
+		b.Fatal("no EEMBC benchmarks registered")
+	}
+	for _, bm := range benches {
+		if _, err := bm.Analyze(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := bench.NewHarnessWith(bench.HarnessOptions{Run: opts})
+		sr := h.Sweep(context.Background(), benches, sweepConfigs())
+		if sr.OK() != len(benches)*len(sweepConfigs()) {
+			b.Fatalf("sweep failures: %s", sr.Summary())
+		}
+	}
+}
+
+// BenchmarkSweepSuite is the end-to-end macro benchmark under each
+// dependence tracker: the legacy÷shadow time ratio is benchjson's
+// shadow_vs_legacy table.
+func BenchmarkSweepSuite(b *testing.B) {
+	for _, kind := range []core.TrackerKind{core.TrackerShadow, core.TrackerLegacyMap} {
+		b.Run(kind.String(), func(b *testing.B) { benchSweep(b, core.RunOptions{}.WithTracker(kind)) })
+	}
+}
+
+// BenchmarkSweepEngines is the macro engine comparison under each
+// execution engine: the treewalk÷bytecode time ratio is benchjson's
+// bytecode_vs_treewalk table.
+func BenchmarkSweepEngines(b *testing.B) {
+	for _, kind := range []core.EngineKind{core.EngineBytecode, core.EngineTreewalk} {
+		b.Run(kind.String(), func(b *testing.B) { benchSweep(b, core.RunOptions{}.WithEngine(kind)) })
+	}
+}

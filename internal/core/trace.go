@@ -409,9 +409,9 @@ func (tr *TraceReader) Replay(h interp.Hooks) error {
 }
 
 // ReplayTrace replays one recorded trace under one configuration and
-// returns a report bit-identical to the Run that recorded it. Only
-// opts.Tracker is consulted: resource budgets were enforced when the
-// trace was recorded.
+// returns a report bit-identical to the Run that recorded it. The
+// resource budgets in opts are ignored: they were enforced when the trace
+// was recorded.
 func ReplayTrace(name string, info *analysis.ModuleInfo, cfg Config, opts RunOptions, r io.Reader) (*Report, error) {
 	reps, err := ReplayTraceMulti(name, info, []Config{cfg}, opts, r)
 	if err != nil {
@@ -421,9 +421,8 @@ func ReplayTrace(name string, info *analysis.ModuleInfo, cfg Config, opts RunOpt
 }
 
 // ReplayTraceMulti decodes a trace once and evaluates every configuration
-// against it — the replay-side equivalent of MultiRun. Decoded events
-// buffer into chunks and replay through the batched tracker path unless
-// opts.DisableBatch forces the per-event sequential tee.
+// against it — the replay-side equivalent of MultiRun: decoded events
+// buffer into chunks and replay through the batched tracker path.
 func ReplayTraceMulti(name string, info *analysis.ModuleInfo, cfgs []Config, opts RunOptions, r io.Reader) (reps []*Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -431,23 +430,13 @@ func ReplayTraceMulti(name string, info *analysis.ModuleInfo, cfgs []Config, opt
 				&PanicError{Val: p, Stack: string(debug.Stack())})
 		}
 	}()
-	set, err := prepareEngines(info, cfgs, opts.Tracker)
+	set, err := prepareEngines(info, cfgs, opts.tracker)
 	if err != nil {
 		return nil, err
 	}
 	tr, err := NewTraceReader(r, info)
 	if err != nil {
 		return nil, err
-	}
-	if opts.DisableBatch {
-		hooks := make([]interp.Hooks, len(set.engines))
-		for i, e := range set.engines {
-			hooks[i] = e
-		}
-		if err := tr.Replay(&multiHooks{hs: hooks}); err != nil {
-			return nil, err
-		}
-		return set.reports(cfgs, name), nil
 	}
 	tee := newChunkTee(set.engines)
 	if err := tr.Replay(tee); err != nil {

@@ -7,30 +7,22 @@ import (
 	"loopapalooza/internal/interp"
 )
 
-// TrackerKind selects the dependence-tracking data structure behind the
+// trackerKind selects the dependence-tracking data structure behind the
 // engine. The two trackers are semantically identical — the legacy map
-// tracker is kept as a differential oracle for the shadow memory — so the
-// choice only affects performance.
-type TrackerKind int
+// tracker is kept as a differential oracle for the shadow memory,
+// reachable only from tests — so the choice only affects performance.
+type trackerKind int
 
 const (
-	// TrackerShadow is the default: a flat, generation-stamped shadow
-	// memory. Load/Store cost one array index plus a generation compare
-	// per active loop level, and clearing an instance is a generation
-	// bump instead of a map drop.
-	TrackerShadow TrackerKind = iota
-	// TrackerLegacyMap is the original per-instance map[int64]writeRec
+	// trackerShadow is the production tracker: a flat, generation-stamped
+	// shadow memory. Load/Store cost one array index plus a generation
+	// compare per active loop level, and clearing an instance is a
+	// generation bump instead of a map drop.
+	trackerShadow trackerKind = iota
+	// trackerLegacyMap is the original per-instance map[int64]writeRec
 	// write set, retained as the correctness oracle.
-	TrackerLegacyMap
+	trackerLegacyMap
 )
-
-// String names the tracker kind.
-func (k TrackerKind) String() string {
-	if k == TrackerLegacyMap {
-		return "legacy-map"
-	}
-	return "shadow"
-}
 
 // depTracker stores, per active loop instance, the last cross-iteration
 // write to each address. The engine owns all policy (cactus-stack
@@ -104,8 +96,8 @@ const (
 
 // spanSum is the producer-computed conflict summary of one memory span:
 // per-region min/max dense load indices, homogeneous-kind flags, and the
-// self-conflict marker. It is computed ONCE per sealed chunk on the
-// producing goroutine (seal / chunkTee) and consulted read-only by every
+// self-conflict marker. It is computed ONCE per chunk on the
+// producing goroutine (chunkTee) and consulted read-only by every
 // coalesced engine class before probing, so N classes stop re-probing
 // address runs that provably cannot hit. Summaries live in a flat slice
 // parallel to the chunk's span plan (evChunk.sums); the interval compare
@@ -168,7 +160,7 @@ func summarizeSpan(evs []memEv) spanSum {
 	return s
 }
 
-// memEv is one memory record of a sealed chunk's memory span: the address
+// memEv is one memory record of a chunk's memory span: the address
 // with its region classification precomputed (reg, idx), the record kind,
 // and the clock advance accumulated inside the span before this record.
 // One 32-byte record per event keeps the batched tracker loop on a single
@@ -541,8 +533,8 @@ func growShadowTab(n, idx, cap64 int64) int64 {
 }
 
 // newTracker builds the tracker for a kind.
-func newTracker(kind TrackerKind, info *analysis.ModuleInfo) depTracker {
-	if kind == TrackerLegacyMap {
+func newTracker(kind trackerKind, info *analysis.ModuleInfo) depTracker {
+	if kind == trackerLegacyMap {
 		return mapTracker{}
 	}
 	return newShadowTracker(info)

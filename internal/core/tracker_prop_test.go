@@ -218,15 +218,15 @@ func TestTrackerDifferentialProperty(t *testing.T) {
 // clamp at a non-power-of-two region cap.
 func TestGrowShadowTabClamp(t *testing.T) {
 	cases := []struct{ n, idx, cap64, want int64 }{
-		{0, 0, 1 << 20, minShadowTab},      // first touch: minimum table
-		{0, 63, 1 << 20, 64},               // last index of the minimum table
-		{0, 64, 1 << 20, 128},              // one past: doubles once
-		{64, 64, 1 << 20, 128},             // doubling triggers at n == idx
-		{64, 255, 1 << 20, 256},            // two doublings
-		{128, 100, 1 << 20, 128},           // already covered: unchanged
-		{0, 100, diffGlobalEnd, 116},       // doubling overshoots odd cap: clamp
-		{64, 115, diffGlobalEnd, 116},      // last legal index under the cap
-		{0, 5, 10, 10},                     // cap below the minimum table size
+		{0, 0, 1 << 20, minShadowTab},                  // first touch: minimum table
+		{0, 63, 1 << 20, 64},                           // last index of the minimum table
+		{0, 64, 1 << 20, 128},                          // one past: doubles once
+		{64, 64, 1 << 20, 128},                         // doubling triggers at n == idx
+		{64, 255, 1 << 20, 256},                        // two doublings
+		{128, 100, 1 << 20, 128},                       // already covered: unchanged
+		{0, 100, diffGlobalEnd, 116},                   // doubling overshoots odd cap: clamp
+		{64, 115, diffGlobalEnd, 116},                  // last legal index under the cap
+		{0, 5, 10, 10},                                 // cap below the minimum table size
 		{0, heapFlatCap - 1, heapFlatCap, heapFlatCap}, // top of the heap table
 	}
 	for _, c := range cases {
@@ -271,4 +271,65 @@ func TestShadowOverflowPruneBounded(t *testing.T) {
 		t.Fatalf("overflow map retains %d records after %d enter/drop cycles, want <= %d: stale entries accumulate across generations",
 			n, cycles, overflowPruneLimit+perCycle)
 	}
+}
+
+// TestMemRunSummaryContract: for spans engineered onto each fast path —
+// pure stores, disjoint pure loads, disjoint mixed, overlapping, and
+// self-conflicting — memRun with the span's summary must return the
+// exact hit list memRun without a summary returns, on identical state.
+func TestMemRunSummaryContract(t *testing.T) {
+	info := trackerDiffInfo()
+	heap := int64(interp.HeapBase)
+	spans := map[string][]memEv{
+		"pure-store": {
+			mkEv(heap+10, memStore, 0), mkEv(heap+11, memStore, 1),
+		},
+		"disjoint-loads": {
+			mkEv(heap+500, memLoad, 0), mkEv(heap+501, memLoad, 1),
+		},
+		"disjoint-mixed": {
+			mkEv(heap+600, memStore, 0), mkEv(heap+900, memLoad, 1),
+		},
+		"overlapping-loads": {
+			mkEv(heap+10, memLoad, 0), mkEv(heap+11, memLoad, 1),
+		},
+		"self-conflict": {
+			mkEv(heap+700, memStore, 0), mkEv(heap+700, memLoad, 1),
+		},
+	}
+	for name, evs := range spans {
+		runFor := func(sum *spanSum) (int, []int32, []writeRec) {
+			sh := newShadowTracker(info)
+			inst := &instance{depth: 0}
+			sh.enter(inst)
+			// Pre-span state: writes at heap+10..heap+19 from iteration 0.
+			for j := int64(0); j < 10; j++ {
+				r, idx := region(heap + 10 + j)
+				sh.storeAt(inst, r, idx, heap+10+j, writeRec{iter: 0, off: j})
+			}
+			hitIdx := make([]int32, len(evs))
+			hitRecs := make([]writeRec, len(evs))
+			n := sh.memRun(inst, evs, 2, 100, 0, hitIdx, hitRecs, sum)
+			return n, hitIdx[:n], hitRecs[:n]
+		}
+		sum := summarizeSpan(evs)
+		nWant, idxWant, recWant := runFor(nil)
+		nGot, idxGot, recGot := runFor(&sum)
+		if nWant != nGot {
+			t.Errorf("%s: hit count %d with summary, %d without", name, nGot, nWant)
+			continue
+		}
+		for h := 0; h < nWant; h++ {
+			if idxWant[h] != idxGot[h] || recWant[h] != recGot[h] {
+				t.Errorf("%s: hit %d diverged under summary: (%d,%+v) vs (%d,%+v)",
+					name, h, idxGot[h], recGot[h], idxWant[h], recWant[h])
+			}
+		}
+	}
+}
+
+// mkEv builds one memory record with its region classification.
+func mkEv(addr int64, kind uint8, tick int64) memEv {
+	r, idx := region(addr)
+	return memEv{idx: idx, addr: addr, tick: tick, kind: kind, reg: int8(r)}
 }

@@ -9,21 +9,21 @@ import (
 
 // bothTrackers runs a subtest under the shadow and the legacy map tracker:
 // every scenario must behave identically under both.
-func bothTrackers(t *testing.T, fn func(t *testing.T, kind TrackerKind)) {
+func bothTrackers(t *testing.T, fn func(t *testing.T, kind trackerKind)) {
 	t.Helper()
-	for _, kind := range []TrackerKind{TrackerShadow, TrackerLegacyMap} {
+	for _, kind := range []trackerKind{trackerShadow, trackerLegacyMap} {
 		t.Run(kind.String(), func(t *testing.T) { fn(t, kind) })
 	}
 }
 
-func newTrackerEngine(t *testing.T, cfg Config, kind TrackerKind) (*Engine, *analysis.LoopMeta) {
+func newTrackerEngine(t *testing.T, cfg Config, kind trackerKind) (*Engine, *analysis.LoopMeta) {
 	t.Helper()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	lm := fakeMeta()
 	info := &analysis.ModuleInfo{Loops: []*analysis.LoopMeta{lm}}
-	return NewEngineTracker(info, cfg, kind), lm
+	return newEngineTracker(info, cfg, kind), lm
 }
 
 // TestCactusStackBoundary pins the off-by-one of the cactus-stack
@@ -43,7 +43,7 @@ func TestCactusStackBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bothTrackers(t, func(t *testing.T, kind TrackerKind) {
+			bothTrackers(t, func(t *testing.T, kind trackerKind) {
 				e, lm := newTrackerEngine(t, Config{Model: DOALL}, kind)
 				e.EnterLoop(lm, iterSP, nil)
 				e.Tick(5)
@@ -78,7 +78,7 @@ func TestCactusStackBoundary(t *testing.T) {
 // one loop (the classic callee-local temp) never conflicts even across
 // iterations, because both accesses are below iterStartSP.
 func TestCactusStackExemptSameIteration(t *testing.T) {
-	bothTrackers(t, func(t *testing.T, kind TrackerKind) {
+	bothTrackers(t, func(t *testing.T, kind trackerKind) {
 		e, lm := newTrackerEngine(t, Config{Model: DOALL}, kind)
 		sp := int64(interp.StackTop - 16)
 		calleeCell := sp - 8 // inside a frame pushed during the iteration
@@ -106,7 +106,7 @@ func TestCactusStackExemptSameIteration(t *testing.T) {
 func TestPDOALLPhaseCommitVisibility(t *testing.T) {
 	addrA := int64(interp.HeapBase + 10)
 	addrC := int64(interp.HeapBase + 20)
-	bothTrackers(t, func(t *testing.T, kind TrackerKind) {
+	bothTrackers(t, func(t *testing.T, kind trackerKind) {
 		e, lm := newTrackerEngine(t, Config{Model: PDOALL}, kind)
 		e.EnterLoop(lm, interp.StackTop, nil)
 		// iter 0: write A; phase 0.
@@ -156,7 +156,7 @@ func TestPDOALLPhaseCommitVisibility(t *testing.T) {
 // the SAME iteration is not a cross-iteration dependence.
 func TestSameIterationWritesInvisible(t *testing.T) {
 	addr := int64(interp.HeapBase + 5)
-	bothTrackers(t, func(t *testing.T, kind TrackerKind) {
+	bothTrackers(t, func(t *testing.T, kind trackerKind) {
 		e, lm := newTrackerEngine(t, Config{Model: DOALL}, kind)
 		e.EnterLoop(lm, interp.StackTop, nil)
 		for i := 0; i < 2; i++ {
@@ -187,7 +187,7 @@ func TestShadowWildAddresses(t *testing.T) {
 		int64(interp.HeapBase) + (1<<24 + 77), // beyond the heap flat cap
 	}
 	for _, addr := range wilds {
-		bothTrackers(t, func(t *testing.T, kind TrackerKind) {
+		bothTrackers(t, func(t *testing.T, kind trackerKind) {
 			e, lm := newTrackerEngine(t, Config{Model: DOALL}, kind)
 			e.EnterLoop(lm, interp.StackTop, nil)
 			e.Tick(5)
@@ -212,7 +212,7 @@ func TestShadowWildAddresses(t *testing.T) {
 // replaces map clearing).
 func TestShadowGenerationIsolation(t *testing.T) {
 	addr := int64(interp.HeapBase + 40)
-	bothTrackers(t, func(t *testing.T, kind TrackerKind) {
+	bothTrackers(t, func(t *testing.T, kind trackerKind) {
 		e, lm := newTrackerEngine(t, Config{Model: DOALL}, kind)
 		// Instance 1 writes addr in iteration 0 and exits cleanly.
 		e.EnterLoop(lm, interp.StackTop, nil)
@@ -269,7 +269,7 @@ func TestLoopEventAnomalies(t *testing.T) {
 
 // TestAnomalyFreeRun: a well-formed hook sequence reports zero anomalies.
 func TestAnomalyFreeRun(t *testing.T) {
-	e, lm := newTrackerEngine(t, Config{Model: DOALL}, TrackerShadow)
+	e, lm := newTrackerEngine(t, Config{Model: DOALL}, trackerShadow)
 	e.EnterLoop(lm, interp.StackTop, nil)
 	e.Tick(5)
 	e.IterLoop(lm, interp.StackTop, nil)
@@ -283,7 +283,7 @@ func TestAnomalyFreeRun(t *testing.T) {
 // TestInstancePoolReuse: engine behaviour is independent of instance
 // recycling — many sequential instances through the pool keep exact costs.
 func TestInstancePoolReuse(t *testing.T) {
-	e, lm := newTrackerEngine(t, Config{Model: DOALL}, TrackerShadow)
+	e, lm := newTrackerEngine(t, Config{Model: DOALL}, trackerShadow)
 	for k := 0; k < 100; k++ {
 		e.EnterLoop(lm, interp.StackTop, nil)
 		for _, cost := range []int64{10, 20, 10, 15} {

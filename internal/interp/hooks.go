@@ -66,11 +66,10 @@ type LCDObs struct {
 // hook that retains one observes stale data at the very next loop event —
 // interp's ownership-violation test demonstrates exactly that. Consume the
 // slices synchronously, or copy their elements before returning. The
-// canonical copiers are core's concurrent fan-out tee (which copies each
-// event once into pooled chunks so engine goroutines can alias safely) and
+// canonical copiers are core's chunked fan-out tee (which copies each
+// event's payload once into the chunk it replays later) and
 // core.TraceWriter (which copies by encoding); everything else, including
-// core.Engine and the sequential fan-out tee, consumes in place without
-// copying.
+// core.Engine, consumes in place without copying.
 type Hooks interface {
 	// Tick advances the dynamic IR instruction counter by n. Ticks are
 	// batched: the interpreter may deliver several instructions' worth in

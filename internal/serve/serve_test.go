@@ -415,7 +415,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
-	fanout := core.PlanFanout(len(core.PaperConfigs()), core.RunOptions{}).String()
 	for _, want := range []string{
 		`lpd_requests_total{path="/v1/analyze",code="200"} 2`,
 		"lpd_cache_hits_total 1",
@@ -425,7 +424,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"lpd_request_seconds_count", // histogram family rendered
 		"lpd_ticks_simulated_total",
 		"lpd_cache_entries 1",
-		fmt.Sprintf(`lpd_engine_info{engine="bytecode",fanout=%q} 1`, fanout),
 		"# TYPE lpd_requests_total counter",
 		"# TYPE lpd_cache_entries gauge",
 		"# TYPE lpd_request_seconds histogram",
@@ -433,82 +431,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
-	}
-}
-
-// TestEngineOption: a server pinned to the treewalk oracle serves the
-// same reports as the default bytecode server and advertises its engine
-// on /metrics.
-func TestEngineOption(t *testing.T) {
-	_, tsB := newTestServer(t, Options{})
-	_, tsT := newTestServer(t, Options{Engine: core.EngineTreewalk})
-	req := AnalyzeRequest{Name: "e", Source: okSrc, Config: "reduc1-dep1-fn2 HELIX"}
-	stB, bodyB := postJSON(t, tsB.URL+"/v1/analyze", req)
-	stT, bodyT := postJSON(t, tsT.URL+"/v1/analyze", req)
-	if stB != http.StatusOK || stT != http.StatusOK {
-		t.Fatalf("status %d / %d, want 200", stB, stT)
-	}
-	var respB, respT AnalyzeResponse
-	if err := json.Unmarshal(bodyB, &respB); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(bodyT, &respT); err != nil {
-		t.Fatal(err)
-	}
-	if err := core.CompareReports(respB.Report, respT.Report); err != nil {
-		t.Errorf("engines serve diverging reports: %v", err)
-	}
-	resp, err := http.Get(tsT.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if want := `lpd_engine_info{engine="treewalk"`; !strings.Contains(string(body), want) {
-		t.Errorf("metrics missing %q", want)
-	}
-}
-
-// TestParallelismOption: a server pinned to a serial fan-out pool serves
-// reports bit-identical to the default width and advertises the resolved
-// plan on /metrics.
-func TestParallelismOption(t *testing.T) {
-	_, tsD := newTestServer(t, Options{})
-	_, tsS := newTestServer(t, Options{Parallelism: 1})
-	req := SweepRequest{
-		Benchmarks:     []string{"181.mcf"},
-		Configs:        []string{"reduc1-dep0-fn0 DOALL", "reduc1-dep1-fn2 HELIX", "reduc1-dep2-fn2 PDOALL", "reduc0-dep0-fn0 DOALL"},
-		IncludeReports: true,
-	}
-	stD, bodyD := postJSON(t, tsD.URL+"/v1/sweep", req)
-	stS, bodyS := postJSON(t, tsS.URL+"/v1/sweep", req)
-	if stD != http.StatusOK || stS != http.StatusOK {
-		t.Fatalf("status %d / %d, want 200", stD, stS)
-	}
-	var respD, respS SweepResponse
-	if err := json.Unmarshal(bodyD, &respD); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(bodyS, &respS); err != nil {
-		t.Fatal(err)
-	}
-	if len(respD.Cells) != len(respS.Cells) {
-		t.Fatalf("cell count %d vs %d", len(respD.Cells), len(respS.Cells))
-	}
-	for i := range respD.Cells {
-		if err := core.CompareReports(respD.Cells[i].Report, respS.Cells[i].Report); err != nil {
-			t.Errorf("cell %d: pool widths serve diverging reports: %v", i, err)
-		}
-	}
-	resp, err := http.Get(tsS.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	fanout := core.PlanFanout(len(core.PaperConfigs()), core.RunOptions{Parallelism: 1}).String()
-	if want := fmt.Sprintf(`lpd_engine_info{engine="bytecode",fanout=%q} 1`, fanout); !strings.Contains(string(body), want) {
-		t.Errorf("metrics missing %q", want)
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"loopapalooza/internal/cluster"
 	"loopapalooza/internal/core"
 	"loopapalooza/internal/diag"
+	"loopapalooza/internal/metrics"
 )
 
 // Budgets are the per-request resource limits, JSON-addressable so clients
@@ -46,6 +47,16 @@ type Budgets struct {
 	// TimeoutMs bounds the run's wall-clock time in milliseconds (0 =
 	// server default).
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
+}
+
+// RunOptions converts the budgets into the core run options that enforce
+// them.
+func (b Budgets) RunOptions() core.RunOptions {
+	return core.RunOptions{
+		MaxSteps:     b.MaxSteps,
+		MaxHeapCells: b.MaxHeapCells,
+		Timeout:      time.Duration(b.TimeoutMs) * time.Millisecond,
+	}
 }
 
 // Options configures a Server.
@@ -76,16 +87,6 @@ type Options struct {
 	// DefaultConfig is applied when a request omits the configuration
 	// ("" = "reduc1-dep1-fn2 HELIX", the best realistic HELIX of Fig. 4).
 	DefaultConfig string
-	// Engine selects the execution engine for every run this server
-	// performs. The zero value is the bytecode VM; EngineTreewalk keeps
-	// the tree-walking oracle. Exposed as the lpd_engine_info metric
-	// label.
-	Engine core.EngineKind
-	// Parallelism bounds the fan-out worker pool of every sweep this
-	// server performs (0 = one worker per CPU, 1 = serial). Reports are
-	// bit-identical at every width. The resolved paper-grid fan-out plan
-	// is exposed as the lpd_engine_info "fanout" label.
-	Parallelism int
 	// Harness is the sweep substrate; nil creates one wired to the
 	// server's default budgets and limiter width.
 	Harness *bench.Harness
@@ -116,7 +117,7 @@ type Server struct {
 	harness *bench.Harness
 	log     *slog.Logger
 	mux     *http.ServeMux
-	reg     *Registry
+	reg     *metrics.Registry
 	start   time.Time
 
 	baseCtx  context.Context // outlives requests; canceled by Close
@@ -128,11 +129,11 @@ type Server struct {
 	readyChecks []ReadyCheck
 
 	// Metrics.
-	mRequests   *Counter
-	mLatency    *Histogram
-	mOutcomes   *Counter
-	mTicks      *Counter
-	mSweepCells *Counter
+	mRequests   *metrics.Counter
+	mLatency    *metrics.Histogram
+	mOutcomes   *metrics.Counter
+	mTicks      *metrics.Counter
+	mSweepCells *metrics.Counter
 }
 
 // New builds a Server from opts.
@@ -155,13 +156,7 @@ func New(opts Options) (*Server, error) {
 	harness := opts.Harness
 	if harness == nil {
 		harness = bench.NewHarnessWith(bench.HarnessOptions{
-			Run: core.RunOptions{
-				MaxSteps:     opts.DefaultBudgets.MaxSteps,
-				MaxHeapCells: opts.DefaultBudgets.MaxHeapCells,
-				Timeout:      time.Duration(opts.DefaultBudgets.TimeoutMs) * time.Millisecond,
-				Engine:       opts.Engine,
-				Parallelism:  opts.Parallelism,
-			},
+			Run:     opts.DefaultBudgets.RunOptions(),
 			Workers: lim.Cap(),
 		})
 	}
@@ -191,7 +186,7 @@ func New(opts Options) (*Server, error) {
 		harness: harness,
 		log:     log,
 		mux:     http.NewServeMux(),
-		reg:     NewRegistry(),
+		reg:     metrics.NewRegistry(),
 		start:   time.Now(),
 		baseCtx: ctx,
 		cancel:  cancel,
@@ -223,11 +218,6 @@ func (s *Server) registerMetrics() {
 		"Serial IR instructions simulated by completed analyze runs.")
 	s.mSweepCells = s.reg.NewCounter("lpd_sweep_cells_total",
 		"Sweep cells by taxonomy outcome.", "outcome")
-	s.reg.NewGauge("lpd_engine_info",
-		"Execution engine and resolved paper-grid fan-out plan of this server (value is always 1).",
-		"engine", "fanout").
-		Set(1, s.opts.Engine.String(),
-			core.PlanFanout(len(core.PaperConfigs()), core.RunOptions{Parallelism: s.opts.Parallelism}).String())
 	s.reg.NewCounterFunc("lpd_cache_hits_total",
 		"Analyze requests served from a stored cache entry.",
 		func() float64 { return float64(s.cache.Stats().Hits) })
@@ -557,14 +547,9 @@ func (s *Server) effectiveBudgets(req *Budgets) Budgets {
 // server's lifetime (not the request's: a coalesced run must complete for
 // its other waiters even if one client disconnects).
 func (s *Server) runOptions(b Budgets) core.RunOptions {
-	return core.RunOptions{
-		MaxSteps:     b.MaxSteps,
-		MaxHeapCells: b.MaxHeapCells,
-		Timeout:      time.Duration(b.TimeoutMs) * time.Millisecond,
-		Ctx:          s.baseCtx,
-		Engine:       s.opts.Engine,
-		Parallelism:  s.opts.Parallelism,
-	}
+	opts := b.RunOptions()
+	opts.Ctx = s.baseCtx
+	return opts
 }
 
 // badRequest writes a 400 with an OutcomeError body.
