@@ -72,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCompileAndRun$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzBytecodeDifferential$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzTrackerDifferential$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzTraceReplay$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) ./internal/wal
 
 # Longer fuzzing session (override FUZZTIME for overnight runs).

@@ -20,6 +20,7 @@ package core
 
 import (
 	"loopapalooza/internal/analysis"
+	"loopapalooza/internal/interp"
 )
 
 // configClass is the behavioral signature of one configuration against one
@@ -102,6 +103,20 @@ func prepareEngines(info *analysis.ModuleInfo, cfgs []Config, kind trackerKind) 
 		s.engines = append(s.engines, newEngineTracker(info, cfg, kind))
 	}
 	return s, nil
+}
+
+// feed returns the consumer of one event stream and the drain to call
+// after its last event. MultiRun and ReplayTraceBytes share this rule:
+// when coalescing left a single class, its engine takes the events one by
+// one, the way a live interpreter feeds it — a chunk plan (classified
+// records, span summaries) only pays for itself when two or more classes
+// read it. Two or more classes share the batched chunk tee.
+func (s *engineSet) feed() (interp.Hooks, func()) {
+	if len(s.engines) == 1 {
+		return s.engines[0], func() {}
+	}
+	t := newChunkTee(s.engines)
+	return t, t.flush
 }
 
 // reports finalizes one report per configuration. Members of a shared

@@ -8,8 +8,11 @@ package core
 // amortizes the expensive producer (the interpreter) across N cheap
 // consumers (the engines).
 //
-// MultiRun has one fan-out path at every configuration count, the chunked
-// batched tee (chunkTee): on the interpreting goroutine, events buffer into
+// MultiRun feeds its engines one of two ways (engineSet.feed). When the
+// configurations coalesce into a single engine class — always for Run,
+// which is MultiRun with one configuration — that engine takes the events
+// one by one. Two or more classes share the chunked batched tee
+// (chunkTee): on the interpreting goroutine, events buffer into
 // one reused chunk that is built directly in replay-plan form — every
 // load/store address is classified into its shadow region once, ticks fold
 // into memory spans (maximal stretches of loads, stores, and interleaved
@@ -21,7 +24,9 @@ package core
 // classification AND summarization cost N ways: each feeds whole spans to
 // the tracker's batched memRun method, which consults the shared summary
 // to skip provably hit-free probing. The optional trace writer needs the
-// per-event stream and tees off the producer ahead of the chunk (multiHooks).
+// per-event stream and tees off the producer ahead of either feed
+// (recordTee). Trace replay (ReplayTraceBytes) feeds engines by the same
+// rule.
 //
 // The contract, enforced differentially against the golden suite: the
 // reports of MultiRun(info, cfgs, opts) are bit-identical to running
@@ -149,46 +154,44 @@ func (e *Engine) replayChunkBatched(c *evChunk) {
 	}
 }
 
-// multiHooks forwards every event to each consumer on the interpreting
-// goroutine, scratch slices included — safe because consumers are
-// synchronous and non-retaining. It tees the trace writer off the
-// producer ahead of Run's engine or MultiRun's chunkTee.
-type multiHooks struct{ hs []interp.Hooks }
-
-func (m *multiHooks) Tick(n int64) {
-	for _, h := range m.hs {
-		h.Tick(n)
-	}
+// recordTee forwards every event to the engine feed and then to the
+// trace writer, on the interpreting goroutine, scratch slices included —
+// safe because both consumers are synchronous and non-retaining. The
+// writer is called directly, not through interp.Hooks, which saves one
+// interface dispatch per event.
+type recordTee struct {
+	h  interp.Hooks
+	tw *TraceWriter
 }
 
-func (m *multiHooks) EnterLoop(lm *analysis.LoopMeta, sp int64, init []interp.Val) {
-	for _, h := range m.hs {
-		h.EnterLoop(lm, sp, init)
-	}
+func (t *recordTee) Tick(n int64) {
+	t.h.Tick(n)
+	t.tw.Tick(n)
 }
 
-func (m *multiHooks) IterLoop(lm *analysis.LoopMeta, sp int64, obs []interp.LCDObs) {
-	for _, h := range m.hs {
-		h.IterLoop(lm, sp, obs)
-	}
+func (t *recordTee) EnterLoop(lm *analysis.LoopMeta, sp int64, init []interp.Val) {
+	t.h.EnterLoop(lm, sp, init)
+	t.tw.EnterLoop(lm, sp, init)
 }
 
-func (m *multiHooks) ExitLoop(lm *analysis.LoopMeta) {
-	for _, h := range m.hs {
-		h.ExitLoop(lm)
-	}
+func (t *recordTee) IterLoop(lm *analysis.LoopMeta, sp int64, obs []interp.LCDObs) {
+	t.h.IterLoop(lm, sp, obs)
+	t.tw.IterLoop(lm, sp, obs)
 }
 
-func (m *multiHooks) Load(addr int64) {
-	for _, h := range m.hs {
-		h.Load(addr)
-	}
+func (t *recordTee) ExitLoop(lm *analysis.LoopMeta) {
+	t.h.ExitLoop(lm)
+	t.tw.ExitLoop(lm)
 }
 
-func (m *multiHooks) Store(addr int64) {
-	for _, h := range m.hs {
-		h.Store(addr)
-	}
+func (t *recordTee) Load(addr int64) {
+	t.h.Load(addr)
+	t.tw.Load(addr)
+}
+
+func (t *recordTee) Store(addr int64) {
+	t.h.Store(addr)
+	t.tw.Store(addr)
 }
 
 // chunkTee is the batched fan-out: events buffer into one chunk, and every
@@ -314,9 +317,10 @@ func (t *chunkTee) flush() {
 // guest fault, cancellation) is returned once and applies to every
 // configuration, exactly as N identical executions would each have failed.
 //
-// Events buffer into chunks on the interpreting goroutine, and every
-// coalesced engine class consumes each chunk through the batched tracker
-// path (see chunkTee); there is no goroutine, channel, or pool.
+// Configurations coalesce into engine classes (prepareEngines). A lone
+// class takes the events one by one; two or more share the chunked tee
+// (see engineSet.feed). Either way everything runs on the interpreting
+// goroutine; there is no goroutine, channel, or pool.
 func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps []*Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -328,19 +332,19 @@ func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps [
 	if err != nil {
 		return nil, err
 	}
-	t := newChunkTee(set.engines)
-	var hooks interp.Hooks = t
-	tw := traceSink(info, opts)
-	if tw != nil {
+	hooks, drain := set.feed()
+	var tw *TraceWriter
+	if opts.Trace != nil {
 		// The trace writer needs the per-event stream; it tees off the
-		// producer directly, ahead of the batched tee, so recorded bytes
-		// are identical to Run's.
-		hooks = &multiHooks{hs: []interp.Hooks{t, tw}}
+		// producer directly, ahead of the engine feed, so recorded bytes
+		// do not depend on how many configurations ride the run.
+		tw = NewTraceWriter(opts.Trace, info)
+		hooks = &recordTee{h: hooks, tw: tw}
 	}
 	if err := interpret(info, opts, hooks); err != nil {
 		return nil, err
 	}
-	t.flush() // drain the partial tail chunk
+	drain()
 	if tw != nil {
 		if err := tw.Close(); err != nil {
 			return nil, fmt.Errorf("core: %s: writing trace: %w", info.Mod.Name, err)
@@ -368,13 +372,4 @@ func interpret(info *analysis.ModuleInfo, opts RunOptions, hooks interp.Hooks) e
 		return fmt.Errorf("core: %s: %w", info.Mod.Name, err)
 	}
 	return nil
-}
-
-// traceSink wraps the optional opts.Trace writer into a per-event
-// consumer to tee off the producer (nil when tracing is off).
-func traceSink(info *analysis.ModuleInfo, opts RunOptions) *TraceWriter {
-	if opts.Trace == nil {
-		return nil
-	}
-	return NewTraceWriter(opts.Trace, info)
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"runtime/debug"
 	"time"
 
 	"loopapalooza/internal/analysis"
@@ -49,35 +47,18 @@ type RunOptions struct {
 // and returns the limit-study report. On failure the returned error
 // matches exactly one taxonomy sentinel (ErrStepLimit, ErrMemLimit,
 // ErrDeadline, ErrCanceled, ErrRuntime) under errors.Is; other failures
-// (bad configuration) classify as OutcomeError.
-func Run(info *analysis.ModuleInfo, cfg Config, opts RunOptions) (rep *Report, err error) {
-	if err := cfg.Validate(); err != nil {
+// (bad configuration) classify as OutcomeError. Run is MultiRun with one
+// configuration, so its lone engine takes the events one by one.
+func Run(info *analysis.ModuleInfo, cfg Config, opts RunOptions) (*Report, error) {
+	return only(MultiRun(info, []Config{cfg}, opts))
+}
+
+// only unwraps the report of a one-configuration call.
+func only(reps []*Report, err error) (*Report, error) {
+	if err != nil {
 		return nil, err
 	}
-	// The interpreter and engine hooks are panic-free by design, but a bug
-	// there must not crash the embedding process (CLI, sweep worker,
-	// fuzzer): convert any escaping panic into a classified *PanicError.
-	defer func() {
-		if r := recover(); r != nil {
-			rep, err = nil, fmt.Errorf("core: %s: %w", info.Mod.Name,
-				&PanicError{Val: r, Stack: string(debug.Stack())})
-		}
-	}()
-	engine := newEngineTracker(info, cfg, opts.tracker)
-	var hooks interp.Hooks = engine
-	tw := traceSink(info, opts)
-	if tw != nil {
-		hooks = &multiHooks{hs: []interp.Hooks{engine, tw}}
-	}
-	if err := interpret(info, opts, hooks); err != nil {
-		return nil, err
-	}
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			return nil, fmt.Errorf("core: %s: writing trace: %w", info.Mod.Name, err)
-		}
-	}
-	return engine.Report(info.Mod.Name), nil
+	return reps[0], nil
 }
 
 // RunSource compiles LPC source, analyzes it, and runs the limit study —

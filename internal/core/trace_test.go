@@ -10,7 +10,7 @@ import (
 
 // record runs src once with a trace sink and returns the trace bytes plus
 // the per-config reference reports.
-func record(t *testing.T, name, src string, cfgs []Config) (*analysis.ModuleInfo, []byte, []*Report) {
+func record(t testing.TB, name, src string, cfgs []Config) (*analysis.ModuleInfo, []byte, []*Report) {
 	t.Helper()
 	info, err := AnalyzeSource(name, src)
 	if err != nil {
@@ -100,7 +100,7 @@ func TestTraceTruncation(t *testing.T) {
 }
 
 // TestTraceCorruption covers the structured corruption checks: magic,
-// version, opcodes, loop ordinals, and the tick checksum.
+// version, opcodes, loop ordinals, the tick checksum, and trailing bytes.
 func TestTraceCorruption(t *testing.T) {
 	info, trace, _ := record(t, "corrupt", doallSrc, []Config{{Model: DOALL}})
 	replay := func(b []byte) error {
@@ -131,6 +131,14 @@ func TestTraceCorruption(t *testing.T) {
 	if err := replay(mut(body+1, trace[body+1]^1)); err == nil ||
 		!strings.Contains(err.Error(), "checksum") {
 		t.Errorf("tick checksum: %v", err)
+	}
+	// Bytes after the end record fail closed: a padded or concatenated
+	// trace is not a valid trace.
+	for _, tail := range [][]byte{{0}, {opEnd, 0}, trace} {
+		if err := replay(append(append([]byte(nil), trace...), tail...)); err == nil ||
+			!strings.Contains(err.Error(), "trailing bytes") {
+			t.Errorf("%d trailing bytes: %v", len(tail), err)
+		}
 	}
 }
 

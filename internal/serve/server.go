@@ -655,7 +655,7 @@ func (s *Server) analyzeFill(name, source string, cfg core.Config, budgets Budge
 	tkey := TraceKey(name, source, budgets)
 	if s.traces != nil {
 		if info, trace, ok := s.traces.Get(tkey); ok {
-			rep, err := core.ReplayTrace(name, info, cfg, core.RunOptions{}, bytes.NewReader(trace))
+			rep, err := core.ReplayTraceBytes(name, info, cfg, core.RunOptions{}, trace)
 			if err == nil {
 				return rep, nil
 			}
@@ -679,7 +679,7 @@ func (s *Server) analyzeFill(name, source string, cfg core.Config, budgets Budge
 			if aerr != nil {
 				return nil, aerr
 			}
-			rep, rerr := core.ReplayTrace(name, info, cfg, core.RunOptions{}, bytes.NewReader(trace))
+			rep, rerr := core.ReplayTraceBytes(name, info, cfg, core.RunOptions{}, trace)
 			if rerr == nil {
 				if s.traces != nil {
 					s.traces.Put(tkey, info, trace) // promote to memory
@@ -699,11 +699,14 @@ func (s *Server) analyzeFill(name, source string, cfg core.Config, budgets Budge
 	opts.Trace = sink
 	rep, err := core.Run(info, cfg, opts)
 	if err == nil && !sink.overflow {
+		// The sink grew by append; keep an exact-size copy so the tier
+		// holds no slack capacity past what it counts.
+		trace := bytes.Clone(sink.buf)
 		if s.traces != nil {
-			s.traces.Put(tkey, info, sink.buf)
+			s.traces.Put(tkey, info, trace)
 		}
 		if s.store != nil {
-			if perr := s.store.Put(tkey, sink.buf); perr != nil {
+			if perr := s.store.Put(tkey, trace); perr != nil {
 				s.log.Warn("trace store write failed", "name", name, "key", tkey[:12], "err", perr)
 			}
 		}

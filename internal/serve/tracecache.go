@@ -9,7 +9,8 @@ package serve
 // engine work instead of interpretation.
 //
 // Entries are (module analysis, trace bytes) pairs under a byte-budget
-// LRU. Traces are recorded into a capped in-memory buffer during the
+// LRU. An entry counts the capacity of its slice — the memory it keeps
+// alive — not just its length. Traces are recorded into a capped in-memory buffer during the
 // (single) live run of a program; a run whose trace outgrows the per-entry
 // cap still completes normally — the trace is simply not cached.
 
@@ -114,25 +115,26 @@ func (tc *TraceCache) Get(key string) (*analysis.ModuleInfo, []byte, bool) {
 func (tc *TraceCache) Put(key string, info *analysis.ModuleInfo, trace []byte) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if int64(len(trace)) > tc.EntryCap() {
+	size := retained(trace)
+	if size > tc.EntryCap() {
 		tc.stats.Skipped++
 		return
 	}
 	if el, ok := tc.items[key]; ok {
 		it := el.Value.(*traceItem)
-		tc.bytes += int64(len(trace)) - int64(len(it.trace))
+		tc.bytes += size - retained(it.trace)
 		it.info, it.trace = info, trace
 		tc.ll.MoveToFront(el)
 	} else {
 		tc.items[key] = tc.ll.PushFront(&traceItem{key: key, info: info, trace: trace})
-		tc.bytes += int64(len(trace))
+		tc.bytes += size
 	}
 	for tc.bytes > tc.budget {
 		tail := tc.ll.Back()
 		it := tail.Value.(*traceItem)
 		tc.ll.Remove(tail)
 		delete(tc.items, it.key)
-		tc.bytes -= int64(len(it.trace))
+		tc.bytes -= retained(it.trace)
 		tc.stats.Evictions++
 	}
 }
@@ -146,9 +148,12 @@ func (tc *TraceCache) Drop(key string) {
 		it := el.Value.(*traceItem)
 		tc.ll.Remove(el)
 		delete(tc.items, it.key)
-		tc.bytes -= int64(len(it.trace))
+		tc.bytes -= retained(it.trace)
 	}
 }
+
+// retained is the memory a stored trace keeps alive: its capacity.
+func retained(trace []byte) int64 { return int64(cap(trace)) }
 
 // Stats returns a traffic snapshot.
 func (tc *TraceCache) Stats() TraceCacheStats {

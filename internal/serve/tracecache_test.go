@@ -57,6 +57,38 @@ func TestTraceCacheLRUByteBudget(t *testing.T) {
 	}
 }
 
+// TestTraceCacheCountsRetainedCapacity: an entry is charged the capacity
+// its slice keeps alive, so traces with slack past their length (a sink
+// grown by append) cannot hold more memory than the budget. By length
+// the two entries below fit in 100 bytes; by capacity they do not.
+func TestTraceCacheCountsRetainedCapacity(t *testing.T) {
+	tc := NewTraceCache(100)
+	slack := func(n, c int) []byte { return make([]byte, n, c) }
+	tc.Put("a", nil, slack(10, 25))
+	if st := tc.Stats(); st.Bytes != 25 {
+		t.Fatalf("bytes = %d, want 25 (the capacity)", st.Bytes)
+	}
+	tc.Put("b", nil, slack(10, 25))
+	tc.Put("c", nil, slack(10, 25))
+	tc.Put("d", nil, slack(10, 25))
+	if st := tc.Stats(); st.Evictions != 0 || st.Bytes != 100 {
+		t.Fatalf("four full-capacity entries: %+v, want 100 bytes, no eviction", st)
+	}
+	tc.Put("e", nil, slack(1, 25)) // 5 bytes long, 125 retained
+	st := tc.Stats()
+	if st.Evictions != 1 || st.Bytes != 100 || st.Entries != 4 {
+		t.Fatalf("after the fifth entry: %+v, want 1 eviction, 100 bytes, 4 entries", st)
+	}
+	if _, _, ok := tc.Get("a"); ok {
+		t.Error("a should have been evicted (least recently used)")
+	}
+	// The per-entry cap applies to the retained size too.
+	tc.Put("wide", nil, slack(1, 26))
+	if st := tc.Stats(); st.Skipped != 1 {
+		t.Errorf("skipped = %d, want 1 (capacity over the entry cap)", st.Skipped)
+	}
+}
+
 // TestTraceCacheConcurrentDropDuringReplay: Drop removes an entry while
 // other goroutines are replaying the trace they just Got. Get hands out
 // the stored byte slice, so an in-flight replay must keep working on its

@@ -91,8 +91,8 @@ func Analyze(name, src string) (*ModuleInfo, error) {
 // and cooperative cancellation), MaxHeapCells (simulated heap budget) —
 // plus Out (program output) and Trace (record the event stream for
 // ReplayTrace). No field selects an implementation: every run takes the
-// one production path (bytecode VM, shadow-memory tracker, chunked
-// fan-out).
+// one production path (bytecode VM, shadow-memory tracker, and one engine
+// feed — per event for a lone engine class, the chunked tee for more).
 type RunOptions = core.RunOptions
 
 // Outcome classifies a run failure into the taxonomy (see Classify). It
