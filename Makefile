@@ -102,14 +102,21 @@ vuln:
 
 # Full measurement run: the perf suite (engine hot path, interpreter
 # dispatch, end-to-end sweeps; shadow vs legacy-map and bytecode vs
-# treewalk sub-benchmarks, the paper-grid fan-out sweep, plus the bytecode
-# compiler's opcode-mix census) and the root interpreter benchmark,
-# rendered to BENCH_PR10.json with the speedup-ratio tables.
+# treewalk sub-benchmarks, the paper-grid fan-out sweep with its probe
+# census, plus the bytecode compiler's opcode-mix census) and the root
+# interpreter benchmark, rendered with the speedup-ratio tables and the
+# measuring machine to the record named by BENCH_OUT, which is required
+# so a run never overwrites the baseline benchsmoke gates against:
+#
+#	make bench BENCH_OUT=BENCH_PR14.json
 bench:
+	@if [ -z "$(BENCH_OUT)" ]; then \
+		echo "bench: name the record to write, e.g. make bench BENCH_OUT=BENCH_PR14.json" >&2; exit 1; \
+	fi
 	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepEngines|BytecodeLowering' \
 		-benchmem -count=1 ./internal/core ./internal/interp ./internal/bench | tee bench.out
 	$(GO) test -run='^$$' -bench='^BenchmarkInterpreter$$' -benchmem -count=1 . | tee -a bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_PR10.json bench.out
+	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) bench.out
 	rm -f bench.out
 
 figures:

@@ -1,7 +1,9 @@
 // Command benchjson converts `go test -bench` output into a
-// machine-readable JSON summary (BENCH_PR10.json). It parses every
-// benchmark line, keeps all reported metrics (ns/op, B/op, allocs/op,
-// and custom metrics like instrs/sec), and derives three ratio tables:
+// machine-readable JSON summary (a BENCH_PR<n>.json record). It parses
+// every benchmark line, keeps all reported metrics (ns/op, B/op,
+// allocs/op, and custom metrics like instrs/sec), stamps the machine the
+// run was measured on (nproc, GOMAXPROCS, Go version, the `cpu:` header
+// line), and derives three ratio tables:
 //
 //   - shadow_vs_legacy: for each benchmark with /shadow and /legacy-map
 //     sub-benchmarks, the legacy÷shadow time ratio and the per-op bytes
@@ -31,9 +33,9 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -o BENCH_PR10.json
-//	go run ./cmd/benchjson -o BENCH_PR10.json bench.out
-//	go test -bench=. -benchtime=1x -benchmem ./... | go run ./cmd/benchjson -compare BENCH_PR10.json
+//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -o BENCH_PR14.json
+//	go run ./cmd/benchjson -o BENCH_PR14.json bench.out
+//	go test -bench=. -benchtime=1x -benchmem ./... | go run ./cmd/benchjson -compare BENCH_PR14.json
 package main
 
 import (
@@ -44,6 +46,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,15 +109,29 @@ var seedBaselines = map[string]seedBaseline{
 
 // extraCurrent holds macro measurements that do not come from `go test
 // -bench` output and are injected into the report alongside the parsed
-// lines. Measured with `time ./lpbench > /dev/null` (all figures), best
-// of five on an otherwise idle single-core box.
+// lines. Measured as the wall time of `lpbench > /dev/null` (all
+// figures), best of five alternating with the previous commit's binary
+// (best 0.606 s), on a 2-vCPU Xeon VM, GOMAXPROCS 2, go1.24.
 var extraCurrent = map[string]map[string]float64{
-	"lpbench-all-figures": {"sec/run": 0.923},
+	"lpbench-all-figures": {"sec/run": 0.370},
+}
+
+// Machine names the box a record was measured on. NumCPU and GoVersion
+// come from benchjson itself, which runs on the measuring machine with
+// the measuring toolchain (`go run`); GOMAXPROCS is the benchmark names'
+// -N suffix (absent means 1) and CPU the `cpu:` line of the go test
+// header.
+type Machine struct {
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go"`
+	CPU        string `json:"cpu,omitempty"`
 }
 
 type output struct {
 	Schema             string                      `json:"schema"`
 	Note               string                      `json:"note"`
+	Machine            Machine                     `json:"machine"`
 	Benchmarks         []Benchmark                 `json:"benchmarks"`
 	ShadowVsLegacy     map[string]map[string]Ratio `json:"shadow_vs_legacy"`
 	BytecodeVsTreewalk map[string]map[string]Ratio `json:"bytecode_vs_treewalk"`
@@ -132,36 +149,47 @@ type loweringStats struct {
 	OpcodeCount map[string]float64 `json:"opcodeCounts"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
 
-func parse(r io.Reader) ([]Benchmark, error) {
+// parse reads the benchmark lines of go test output, and the machine
+// fields the output itself carries (GOMAXPROCS and CPU).
+func parse(r io.Reader) ([]Benchmark, Machine, error) {
 	var out []Benchmark
+	mach := Machine{GOMAXPROCS: 1}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
+		line := strings.TrimSpace(sc.Text())
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
+			mach.CPU = strings.TrimSpace(cpu)
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		iters, err := strconv.ParseInt(m[2], 10, 64)
+		iters, err := strconv.ParseInt(m[3], 10, 64)
 		if err != nil {
 			continue
 		}
-		fields := strings.Fields(m[3])
+		if procs, err := strconv.Atoi(m[2]); err == nil {
+			mach.GOMAXPROCS = procs
+		}
+		fields := strings.Fields(m[4])
 		if len(fields)%2 != 0 {
-			return nil, fmt.Errorf("odd metric fields in %q", sc.Text())
+			return nil, mach, fmt.Errorf("odd metric fields in %q", sc.Text())
 		}
 		metrics := make(map[string]float64, len(fields)/2)
 		for i := 0; i < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("bad metric value in %q: %v", sc.Text(), err)
+				return nil, mach, fmt.Errorf("bad metric value in %q: %v", sc.Text(), err)
 			}
 			metrics[fields[i+1]] = v
 		}
 		out = append(out, Benchmark{Name: m[1], Iterations: iters, Metrics: metrics})
 	}
-	return out, sc.Err()
+	return out, mach, sc.Err()
 }
 
 // ratios builds a Ratio per shared metric. For per-op costs (ns/op,
@@ -211,10 +239,10 @@ func gatedUnit(unit string, baseIters, curIters int64) bool {
 		// into its single op, so neither its timings nor its allocation
 		// counts are comparable to a steady-state measurement.
 		return baseIters > 1 && curIters > 1
-	case "fused-insts", "fused-pct":
-		// Fusion coverage: higher is better, so the higher-is-worse gate
-		// below would fire on improvements. Tracked in the
-		// bytecode_lowering table instead.
+	case "fused-insts", "fused-pct", "probe-skips/op":
+		// Fusion coverage and span-summary skips: higher is better, so
+		// the higher-is-worse gate below would fire on improvements.
+		// Recorded, not gated.
 		return false
 	}
 	// The remaining custom metrics are deterministic work censuses
@@ -277,10 +305,12 @@ func run() error {
 		defer f.Close()
 		in = f
 	}
-	benches, err := parse(in)
+	benches, mach, err := parse(in)
 	if err != nil {
 		return err
 	}
+	mach.NumCPU = runtime.NumCPU()
+	mach.GoVersion = runtime.Version()
 	if len(benches) == 0 {
 		return fmt.Errorf("no benchmark lines found in input")
 	}
@@ -346,10 +376,11 @@ func run() error {
 	}
 
 	doc := output{
-		Schema: "loopapalooza-bench/v4",
+		Schema: "loopapalooza-bench/v5",
 		Note: "speedup >1 means current/shadow/bytecode is better; seed " +
 			"baselines measured at commit d237949 with identical access patterns, " +
 			"except BenchmarkInterpDispatch (measured at the pre-bytecode-VM commit).",
+		Machine:            mach,
 		Benchmarks:         benches,
 		ShadowVsLegacy:     shadowVsLegacy,
 		BytecodeVsTreewalk: bytecodeVsTreewalk,

@@ -81,13 +81,14 @@ func classOf(info *analysis.ModuleInfo, cfg Config) configClass {
 // distinct behavior class, plus the configuration-to-engine assignment.
 type engineSet struct {
 	engines []*Engine
-	assign  []int // cfgs index → engines index
+	assign  []int       // cfgs index → engines index
+	kind    trackerKind // the engines' dependence tracker, for the tee's shared probe
 }
 
 // prepareEngines validates every configuration and builds one engine per
 // behavior class, assigning each configuration to its class representative.
 func prepareEngines(info *analysis.ModuleInfo, cfgs []Config, kind trackerKind) (*engineSet, error) {
-	s := &engineSet{assign: make([]int, len(cfgs))}
+	s := &engineSet{assign: make([]int, len(cfgs)), kind: kind}
 	classes := map[configClass]int{}
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
@@ -115,8 +116,8 @@ func (s *engineSet) feed() (interp.Hooks, func()) {
 	if len(s.engines) == 1 {
 		return s.engines[0], func() {}
 	}
-	t := newChunkTee(s.engines)
-	return t, t.flush
+	t := newChunkTee(s.engines, s.kind)
+	return t, t.finish
 }
 
 // reports finalizes one report per configuration. Members of a shared

@@ -55,6 +55,9 @@ type Engine struct {
 	// and reused across runs and chunks.
 	hitIdx  []int32
 	hitRecs []writeRec
+	// memRuns / memRecords count memSpan's tracker calls and the records
+	// handed to them (the chunk tee's probe census).
+	memRuns, memRecords int64
 }
 
 // evalPlan is the per-configuration compiled event evaluator: which event
@@ -672,6 +675,8 @@ func (e *Engine) memSpan(evs []memEv, sum *spanSum) {
 	for li := len(e.live) - 1; li >= 0; li-- {
 		inst := e.live[li]
 		offBase := adj0 - inst.iterStartAdj
+		e.memRuns++
+		e.memRecords += int64(len(evs))
 		var nh int
 		if sh := e.sh; sh != nil { // direct call on the default tracker
 			nh = sh.memRun(inst, evs, inst.iters, offBase, inst.iterStartSP, hitIdx, hitRecs, sum)

@@ -47,3 +47,21 @@ func (k trackerKind) String() string {
 	}
 	return "shadow"
 }
+
+// ProbeWork is the chunk tee's dependence-probe work census.
+type ProbeWork = probeWork
+
+// ReadProbeCensus returns the probe work of every chunk tee finished since
+// the last ResetProbeCensus.
+func ReadProbeCensus() ProbeWork {
+	probeCensus.mu.Lock()
+	defer probeCensus.mu.Unlock()
+	return probeCensus.w
+}
+
+// ResetProbeCensus zeroes the probe census.
+func ResetProbeCensus() {
+	probeCensus.mu.Lock()
+	defer probeCensus.mu.Unlock()
+	probeCensus.w = probeWork{}
+}

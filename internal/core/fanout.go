@@ -12,18 +12,30 @@ package core
 // configurations coalesce into a single engine class — always for Run,
 // which is MultiRun with one configuration — that engine takes the events
 // one by one. Two or more classes share the chunked batched tee
-// (chunkTee): on the interpreting goroutine, events buffer into
-// one reused chunk that is built directly in replay-plan form — every
-// load/store address is classified into its shadow region once, ticks fold
-// into memory spans (maximal stretches of loads, stores, and interleaved
-// ticks, with each record's intra-span clock offset precomputed), and each
-// memory span is summarized once (spanSum: per-region load-index
-// intervals, homogeneous-kind flags, the self-conflict marker). When the
-// chunk fills, every coalesced engine class replays it through the batched
-// tracker path (Engine.replayChunkBatched), so N engines split the
-// classification AND summarization cost N ways: each feeds whole spans to
-// the tracker's batched memRun method, which consults the shared summary
-// to skip provably hit-free probing. The optional trace writer needs the
+// (chunkTee): on the interpreting goroutine, events buffer into one pooled
+// chunk that is built directly in replay-plan form — every load/store
+// address is classified into its shadow region once, ticks fold into
+// memory spans (maximal stretches of loads, stores, and interleaved ticks,
+// with each record's intra-span clock offset precomputed), and each memory
+// span is summarized once (spanSum: per-region load-index intervals,
+// homogeneous-kind flags, the self-conflict marker).
+//
+// Probe once, judge per class. The paper's run-time has ONE mechanism that
+// tracks memory conflicts between loop iterations and three models that
+// judge what it finds. The tee mirrors that split: a shared dependence
+// probe (sharedProbe) follows the loop stack on the producer side and,
+// as each memory span closes, resolves it against one shadow tracker at
+// every nesting level some DOALL or PDOALL class can track, recording each
+// cross-iteration hit as a candidate (probeCand) in the chunk. DOALL and
+// PDOALL classes then only apply their own policy to the candidates of
+// their live instances — they read nothing but the writer's iteration,
+// which, like the loop stack and the cactus-stack bound, is the same in
+// every class. HELIX classes keep their own timed shadow memory
+// (Engine.memSpan → depTracker.memRun): the HELIX delta reads the writer's
+// adjusted offset, which differs per class.
+//
+// When the chunk fills, every engine class replays it
+// (Engine.replayChunkBatched). The optional trace writer needs the
 // per-event stream and tees off the producer ahead of either feed
 // (recordTee). Trace replay (ReplayTraceBytes) feeds engines by the same
 // rule.
@@ -35,6 +47,7 @@ package core
 import (
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"loopapalooza/internal/analysis"
@@ -73,9 +86,10 @@ const chunkRecs = 4096
 // evChunk is one batch of events in replay-plan form: the partition into
 // spans, the loop-event records the singleton spans address, the dense
 // memory-record array the memory spans index (kind, region classification,
-// and intra-span tick offsets, in record order), the copied payloads, and
-// one conflict summary per memory span (flat, parallel slice indexed by
-// runSpan.sumIdx) that every engine class consults before probing.
+// and intra-span tick offsets, in record order), the copied payloads, one
+// conflict summary per memory span (flat, parallel slice indexed by
+// runSpan.sumIdx) that HELIX classes consult before probing, and the
+// shared probe's candidates that DOALL and PDOALL classes judge.
 type evChunk struct {
 	recs  []evRec
 	vals  []interp.Val
@@ -83,20 +97,49 @@ type evChunk struct {
 	spans []runSpan
 	mem   []memEv
 	sums  []spanSum
+	cands []probeCand
 }
 
 // runSpan is one element of a chunk's replay plan. Loop events
 // (enter/iter/exit) are singleton spans addressing recs[rec]; everything
 // between them — loads, stores, and the ticks interleaved with them — is
-// one memory span addressing the chunk's dense m-arrays [mstart, mend),
-// with sum the total clock advance inside the span.
+// one memory span addressing the chunk's dense m-arrays [mstart, mend) and
+// its shared-probe candidates [cstart, cend), with sum the total clock
+// advance inside the span.
 type runSpan struct {
 	kind         evKind
 	rec          int32 // record index, for loop-event spans
 	mstart, mend int32 // m-array range, for memory spans
+	cstart, cend int32 // candidate range in the chunk's cands, for memory spans
 	sumIdx       int32 // conflict-summary index in the chunk's sums, for memory spans
 	sum          int64 // Σ tick payloads, for memory spans
 }
+
+// probeCand is one shared-probe candidate: a load of a memory span that
+// found a write recorded by an EARLIER iteration of the loop instance at
+// nesting level level. Candidates of one span are grouped by level, in
+// record order within a level; no class reads which load it was.
+type probeCand struct {
+	level int32 // nesting level: the instance's engine stack depth
+	iter  int64 // the writer's iteration
+}
+
+// chunkPool recycles whole chunks across MultiRun calls; a chunk's
+// buffers are sized for a full chunk when it is built, so a steady-state
+// sweep allocates no chunk memory at all.
+var chunkPool = sync.Pool{New: func() any {
+	return &evChunk{
+		recs: make([]evRec, 0, chunkRecs),
+		vals: make([]interp.Val, 0, chunkRecs),
+		obs:  make([]interp.LCDObs, 0, chunkRecs),
+		// Each loop record closes at most one memory span, and a memory
+		// flush at most one more.
+		spans: make([]runSpan, 0, 2*chunkRecs+2),
+		mem:   make([]memEv, 0, chunkRecs),
+		sums:  make([]spanSum, 0, chunkRecs+2),
+		cands: make([]probeCand, 0, chunkRecs),
+	}
+}}
 
 // reset readies the chunk for refilling.
 func (c *evChunk) reset() {
@@ -106,15 +149,18 @@ func (c *evChunk) reset() {
 	c.spans = c.spans[:0]
 	c.mem = c.mem[:0]
 	c.sums = c.sums[:0]
+	c.cands = c.cands[:0]
 }
 
-// replayChunkBatched applies one chunk to an engine through the batched
-// tracker path, the per-config compiled evaluator of the fan-out:
+// replayChunkBatched applies one chunk to an engine, the per-config
+// compiled evaluator of the fan-out:
 //
-//   - each memory span makes ONE tracker dispatch per live loop instance
-//     (Engine.memSpan → depTracker.memRun) instead of one per event, with
-//     the precomputed intra-span tick offsets keeping every store's clock
-//     stamp and every conflict offset exact;
+//   - with probed set (DOALL and PDOALL classes under a shared probe), a
+//     memory span only judges the probe's candidates (Engine.judgeCands);
+//   - otherwise each memory span makes ONE tracker dispatch per live loop
+//     instance (Engine.memSpan → depTracker.memRun) instead of one per
+//     event, with the precomputed intra-span tick offsets keeping every
+//     store's clock stamp and every conflict offset exact;
 //   - the span's tick sum collapses to a single clock add (Tick only
 //     accumulates, so the precomputed sum is exact — and the coalescing is
 //     strictly consumer-side, leaving recorded trace bytes untouched);
@@ -125,12 +171,16 @@ func (c *evChunk) reset() {
 //
 // The result is bit-identical to feeding Engine's per-event hooks, which
 // is what Run does; the oracle suites pin that equivalence.
-func (e *Engine) replayChunkBatched(c *evChunk) {
+func (e *Engine) replayChunkBatched(c *evChunk, probed bool) {
 	for si := range c.spans {
 		s := &c.spans[si]
 		switch s.kind {
 		case evMemSpan:
-			if s.mend > s.mstart {
+			if probed {
+				if s.cend > s.cstart {
+					e.judgeCands(c.cands[s.cstart:s.cend])
+				}
+			} else if s.mend > s.mstart {
 				e.memSpan(c.mem[s.mstart:s.mend], &c.sums[s.sumIdx])
 			}
 			e.clock += s.sum
@@ -195,39 +245,46 @@ func (t *recordTee) Store(addr int64) {
 }
 
 // chunkTee is the batched fan-out: events buffer into one chunk, and every
-// engine consumes each full chunk through the batched tracker path.
+// engine consumes each full chunk through the batched replay path.
 // Because its only consumers are batched engines — per-event hooks like
 // the trace writer tee off the producer directly, see MultiRun — the tee
 // builds the replay plan at write time: ticks fold straight into the open
 // memory span's sum, loads and stores append classified memEv records, and
-// only loop events materialize as evRecs. One chunk is reused for the
-// whole run.
+// only loop events materialize as evRecs. One pooled chunk serves the
+// whole run. When some class runs DOALL or PDOALL, the tee also drives the
+// shared dependence probe: loop events move its loop-stack mirror, and
+// each closing memory span is probed once for all of those classes.
 type chunkTee struct {
 	engines []*Engine
+	probe   *sharedProbe // nil when every class runs HELIX
 	cur     *evChunk
 	sum     int64 // Σ tick payloads of the open memory span
 	mstart  int32 // start of the open memory span in cur.mem
 }
 
-func newChunkTee(engines []*Engine) *chunkTee {
+func newChunkTee(engines []*Engine, kind trackerKind) *chunkTee {
 	return &chunkTee{
 		engines: engines,
-		cur: &evChunk{
-			recs: make([]evRec, 0, chunkRecs),
-			mem:  make([]memEv, 0, chunkRecs),
-		},
+		probe:   newSharedProbe(engines, kind),
+		cur:     chunkPool.Get().(*evChunk),
 	}
 }
 
 // closeMemSpan ends the open memory span, emitting it — with its shared
-// conflict summary — if it observed any tick or memory record.
+// conflict summary and its shared-probe candidates — if it observed any
+// tick or memory record.
 func (t *chunkTee) closeMemSpan() {
 	c := t.cur
 	if t.sum != 0 || int32(len(c.mem)) > t.mstart {
 		si := int32(len(c.sums))
 		c.sums = append(c.sums, summarizeSpan(c.mem[t.mstart:]))
+		cstart := int32(len(c.cands))
+		if t.probe != nil && int32(len(c.mem)) > t.mstart {
+			t.probe.span(c, t.mstart, &c.sums[si])
+		}
 		c.spans = append(c.spans, runSpan{
-			kind: evMemSpan, mstart: t.mstart, mend: int32(len(c.mem)), sumIdx: si, sum: t.sum,
+			kind: evMemSpan, mstart: t.mstart, mend: int32(len(c.mem)),
+			cstart: cstart, cend: int32(len(c.cands)), sumIdx: si, sum: t.sum,
 		})
 		t.sum = 0
 		t.mstart = int32(len(c.mem))
@@ -271,12 +328,16 @@ func (t *chunkTee) Store(addr int64) {
 }
 
 // EnterLoop implements interp.Hooks: the init scratch slice is copied into
-// the chunk's flat payload array.
+// the chunk's flat payload array. The probe mirror moves after the record,
+// because the span the record closes belongs to the enclosing stack.
 func (t *chunkTee) EnterLoop(lm *analysis.LoopMeta, sp int64, init []interp.Val) {
 	c := t.cur
 	off := int32(len(c.vals))
 	c.vals = append(c.vals, init...)
 	t.loopRec(evRec{kind: evEnter, lm: lm, a: sp, off: off, n: int32(len(init))})
+	if t.probe != nil {
+		t.probe.enter(lm, sp)
+	}
 }
 
 // IterLoop implements interp.Hooks: the obs scratch slice is copied into
@@ -286,17 +347,25 @@ func (t *chunkTee) IterLoop(lm *analysis.LoopMeta, sp int64, obs []interp.LCDObs
 	off := int32(len(c.obs))
 	c.obs = append(c.obs, obs...)
 	t.loopRec(evRec{kind: evIter, lm: lm, a: sp, off: off, n: int32(len(obs))})
+	if t.probe != nil {
+		t.probe.iter(lm, sp)
+	}
 }
 
 // ExitLoop implements interp.Hooks.
-func (t *chunkTee) ExitLoop(lm *analysis.LoopMeta) { t.loopRec(evRec{kind: evExit, lm: lm}) }
+func (t *chunkTee) ExitLoop(lm *analysis.LoopMeta) {
+	t.loopRec(evRec{kind: evExit, lm: lm})
+	if t.probe != nil {
+		t.probe.exit(lm)
+	}
+}
 
 // flush replays the buffered plan into every engine and resets the chunk
 // for refilling. A memory span interrupted by a flush simply splits in
 // two, which is exact: the engine adds the first part's tick sum to its
 // clock before the second part computes offsets against the updated
-// clock. Call once more after the producer finishes to drain the partial
-// tail.
+// clock, and the probe resolves the second part against the state the
+// first part left.
 func (t *chunkTee) flush() {
 	t.closeMemSpan()
 	c := t.cur
@@ -304,10 +373,32 @@ func (t *chunkTee) flush() {
 		return
 	}
 	for _, e := range t.engines {
-		e.replayChunkBatched(c)
+		e.replayChunkBatched(c, t.probe != nil && e.cfg.Model != HELIX)
 	}
 	c.reset()
 	t.mstart = 0
+}
+
+// finish drains the partial tail after the producer's last event, adds
+// this run's probe work to the process census, and returns the chunk to
+// the pool.
+func (t *chunkTee) finish() {
+	t.flush()
+	var w probeWork
+	if p := t.probe; p != nil {
+		w = p.work
+		if p.sh != nil {
+			w.SharedSkips = p.sh.skips
+		}
+	}
+	for _, e := range t.engines {
+		w.ClassCalls[e.cfg.Model] += e.memRuns
+		w.ClassRecords[e.cfg.Model] += e.memRecords
+	}
+	addProbeWork(&w)
+	t.cur.reset()
+	chunkPool.Put(t.cur)
+	t.cur = nil
 }
 
 // MultiRun executes the analyzed module's main function ONCE and evaluates

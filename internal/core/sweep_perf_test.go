@@ -61,3 +61,51 @@ func BenchmarkSweepEngines(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) { benchSweep(b, core.RunOptions{}.WithEngine(kind)) })
 	}
 }
+
+// BenchmarkSweepFanout measures the full fourteen-configuration paper-grid
+// sweep of the EEMBC suite through the run-once fan-out: each benchmark is
+// interpreted once and its event stream feeds every configuration's
+// engine through core.MultiRun. A fresh harness per op re-runs every
+// cell; the per-benchmark analysis once-cells are warmed first.
+//
+// Besides time and allocations it reports the chunk tee's probe census
+// per op, a deterministic work count benchjson gates: shared-probe
+// tracker calls, the records handed to them, the calls the span summaries
+// answered without probing a load, the candidates emitted, and the tracker
+// calls and records of the classes that still probe on their own, by
+// model (doall-/pdoall- stay zero: those classes judge the shared probe's
+// candidates).
+func BenchmarkSweepFanout(b *testing.B) {
+	benches := bench.BySuite(bench.SuiteEEMBC)
+	if len(benches) == 0 {
+		b.Fatal("no EEMBC benchmarks registered")
+	}
+	for _, bm := range benches {
+		if _, err := bm.Analyze(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfgs := core.PaperConfigs()
+	// The sub-benchmark name keeps the series comparable with earlier
+	// BENCH_*.json records.
+	b.Run("fanout", func(b *testing.B) {
+		b.ReportAllocs()
+		core.ResetProbeCensus()
+		for i := 0; i < b.N; i++ {
+			sr := bench.NewHarness().Sweep(context.Background(), benches, cfgs)
+			if sr.OK() != len(benches)*len(cfgs) {
+				b.Fatalf("sweep failures: %s", sr.Summary())
+			}
+		}
+		w := core.ReadProbeCensus()
+		per := func(v int64, unit string) { b.ReportMetric(float64(v)/float64(b.N), unit) }
+		per(w.SharedCalls, "probe-calls/op")
+		per(w.SharedRecords, "probe-records/op")
+		per(w.SharedSkips, "probe-skips/op")
+		per(w.Candidates, "probe-cands/op")
+		for m, name := range []string{"doall", "pdoall", "helix"} {
+			per(w.ClassCalls[m], name+"-calls/op")
+			per(w.ClassRecords[m], name+"-records/op")
+		}
+	})
+}

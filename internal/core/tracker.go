@@ -45,14 +45,21 @@ type depTracker interface {
 	// region(addr).
 	storeAt(inst *instance, r int, idx int64, addr int64, rec writeRec)
 	// memRun resolves a whole run of mixed load/store records for inst in
-	// ONE call — the batched chunk-replay hot path. Each memEv carries its
-	// kind, region classification, and the clock advance accumulated
-	// inside the run before it (the engine applies the run's total to its
-	// clock afterwards; no other event can occur inside a run).
+	// ONE call — the batched chunk-replay hot path. It has two callers on
+	// the chunk tee: the shared probe (sharedProbe.span), once per memory
+	// span and watched nesting level on behalf of every DOALL and PDOALL
+	// class, which then only judge the cross-iteration hits; and each
+	// HELIX class (Engine.memSpan), once per span and live instance on its
+	// own timed tracker, since HELIX reads the writes' adjusted offsets.
+	// Each memEv carries its kind, region classification, and the clock
+	// advance accumulated inside the run before it (the engine applies the
+	// run's total to its clock afterwards; no other event can occur inside
+	// a run).
 	//
 	// Stores record writeRec{iter: iter, off: offBase + ev.tick} — iter
 	// and offBase are run constants because iteration boundaries end a
-	// run. Loads that find a record append (record index, record) to
+	// run. (The shared probe passes offBase 0: nothing it serves reads
+	// off.) Loads that find a record append (record index, record) to
 	// hitIdx/hitRecs; memRun returns the hit count and the engine applies
 	// the RAW policy afterwards, in record order (loads are pure, and
 	// hits are rare, so deferring policy keeps this loop branch-light).
@@ -310,6 +317,9 @@ func (lvl *shadowLevel) disjoint(sum *spanSum) bool {
 type shadowTracker struct {
 	levels []*shadowLevel
 	caps   [3]int64 // flat-table cap per region
+	// skips counts memRun calls the span summary answered without
+	// probing a load (the chunk tee's probe census).
+	skips int64
 }
 
 func newShadowTracker(info *analysis.ModuleInfo) *shadowTracker {
@@ -402,9 +412,11 @@ func (t *shadowTracker) memRun(inst *instance, evs []memEv,
 	lvl := t.levels[inst.depth]
 	if sum != nil {
 		if sum.flags&sumHasLoad == 0 {
+			t.skips++
 			return t.storeRun(lvl, evs, iter, offBase, spLimit)
 		}
 		if sum.flags&sumSelfConflict == 0 && lvl.disjoint(sum) {
+			t.skips++
 			if sum.flags&sumHasStore == 0 {
 				return 0 // pure loads, provably no recorded write in range
 			}
