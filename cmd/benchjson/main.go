@@ -3,7 +3,7 @@
 // every benchmark line, keeps all reported metrics (ns/op, B/op,
 // allocs/op, and custom metrics like instrs/sec), stamps the machine the
 // run was measured on (nproc, GOMAXPROCS, Go version, the `cpu:` header
-// line), and derives three ratio tables:
+// line), and derives two ratio tables:
 //
 //   - shadow_vs_legacy: for each benchmark with /shadow and /legacy-map
 //     sub-benchmarks, the legacy÷shadow time ratio and the per-op bytes
@@ -13,8 +13,9 @@
 //     /treewalk sub-benchmarks, the treewalk÷bytecode time ratio — the
 //     dispatch cost the register-based bytecode VM compiles away
 //     relative to the tree-walking oracle.
-//   - seed_vs_current: current numbers against baselines measured at the
-//     pre-shadow-memory seed commit with identical access patterns.
+//
+// Both sides of every ratio come from the same input, so the same machine;
+// benchjson compares nothing against numbers recorded elsewhere.
 //
 // It also extracts BenchmarkBytecodeLowering's custom "op/<mnemonic>"
 // metrics into a bytecode_lowering table: the suite-wide static opcode
@@ -70,50 +71,13 @@ type Ratio struct {
 	Eliminated bool     `json:"eliminated,omitempty"`
 }
 
-// seedBaseline is a measurement taken at the seed commit (d237949),
-// before the shadow-memory tracker and the zero-allocation interpreter
-// hot path, using benchmarks with the same access patterns as the
-// current suite. Only metrics that were actually measured are present.
-type seedBaseline struct {
-	current string // name of the current benchmark it compares against
-	metrics map[string]float64
-}
-
-// seedBaselines: measured on the same machine as the current numbers in
-// this file's output. The lpbench entry is the end-to-end all-figures
-// wall time of `cmd/lpbench` (macro), not a `go test` benchmark.
-var seedBaselines = map[string]seedBaseline{
-	"BenchmarkEngineLoadStore": {
-		current: "BenchmarkEngineLoadStore/shadow",
-		metrics: map[string]float64{"ns/op": 87.82, "B/op": 106},
-	},
-	"BenchmarkSweepSuite": {
-		current: "BenchmarkSweepSuite/shadow",
-		metrics: map[string]float64{"ns/op": 476.2e6, "B/op": 34.5e6, "allocs/op": 653000},
-	},
-	"BenchmarkInterpreter": {
-		current: "BenchmarkInterpreter",
-		metrics: map[string]float64{"ns/op": 4.64e6},
-	},
-	// Measured immediately before the bytecode VM landed: the tree-walking
-	// dispatch loop with a fresh interpreter per run.
-	"BenchmarkInterpDispatch": {
-		current: "BenchmarkInterpDispatch/bytecode",
-		metrics: map[string]float64{"ns/op": 6.7e6, "B/op": 5184, "allocs/op": 18},
-	},
-	"lpbench-all-figures": {
-		current: "lpbench-all-figures",
-		metrics: map[string]float64{"sec/run": 21.457},
-	},
-}
-
 // extraCurrent holds macro measurements that do not come from `go test
 // -bench` output and are injected into the report alongside the parsed
 // lines. Measured as the wall time of `lpbench > /dev/null` (all
-// figures), best of five alternating with the previous commit's binary
-// (best 0.606 s), on a 2-vCPU Xeon VM, GOMAXPROCS 2, go1.24.
+// figures), best of seven alternating with the previous commit's binary
+// (best 0.414 s), on a 2-vCPU Xeon VM, GOMAXPROCS 2, go1.24.
 var extraCurrent = map[string]map[string]float64{
-	"lpbench-all-figures": {"sec/run": 0.370},
+	"lpbench-all-figures": {"sec/run": 0.366},
 }
 
 // Machine names the box a record was measured on. NumCPU and GoVersion
@@ -136,7 +100,6 @@ type output struct {
 	ShadowVsLegacy     map[string]map[string]Ratio `json:"shadow_vs_legacy"`
 	BytecodeVsTreewalk map[string]map[string]Ratio `json:"bytecode_vs_treewalk"`
 	BytecodeLowering   *loweringStats              `json:"bytecode_lowering,omitempty"`
-	SeedVsCurrent      map[string]map[string]Ratio `json:"seed_vs_current"`
 }
 
 // loweringStats is the static opcode mix of the bytecode compiler over
@@ -314,7 +277,51 @@ func run() error {
 	if len(benches) == 0 {
 		return fmt.Errorf("no benchmark lines found in input")
 	}
+	doc := summarize(benches, mach)
 
+	if *outPath != "" || *comparePath == "" {
+		buf, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			return err
+		}
+		buf = append(buf, '\n')
+		if *outPath == "" {
+			if _, err := os.Stdout.Write(buf); err != nil {
+				return err
+			}
+		} else if err := os.WriteFile(*outPath, buf, 0o644); err != nil {
+			return err
+		}
+	}
+
+	if *comparePath != "" {
+		raw, err := os.ReadFile(*comparePath)
+		if err != nil {
+			return err
+		}
+		var base baselineDoc
+		if err := json.Unmarshal(raw, &base); err != nil {
+			return fmt.Errorf("parsing baseline %s: %v", *comparePath, err)
+		}
+		regressions, notes := compare(base.Benchmarks, doc.Benchmarks, *tolerance)
+		for _, n := range notes {
+			fmt.Fprintln(os.Stderr, "benchjson: note:", n)
+		}
+		if len(regressions) > 0 {
+			for _, r := range regressions {
+				fmt.Fprintln(os.Stderr, "benchjson: REGRESSION:", r)
+			}
+			return fmt.Errorf("%d series regressed past %.0f%% against %s", len(regressions), *tolerance, *comparePath)
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: no regression past %.0f%% against %s\n", *tolerance, *comparePath)
+	}
+	return nil
+}
+
+// summarize builds the record of one run: the parsed benchmarks plus the
+// injected macro measurements, sorted by name, and the ratio tables
+// derived from them.
+func summarize(benches []Benchmark, mach Machine) output {
 	byName := map[string]map[string]float64{}
 	for _, b := range benches {
 		byName[b.Name] = b.Metrics
@@ -366,64 +373,15 @@ func run() error {
 		}
 	}
 
-	seedVsCurrent := map[string]map[string]Ratio{}
-	for name, base := range seedBaselines {
-		cur, ok := byName[base.current]
-		if !ok {
-			continue
-		}
-		seedVsCurrent[name] = ratios(base.metrics, cur)
-	}
-
-	doc := output{
-		Schema: "loopapalooza-bench/v5",
-		Note: "speedup >1 means current/shadow/bytecode is better; seed " +
-			"baselines measured at commit d237949 with identical access patterns, " +
-			"except BenchmarkInterpDispatch (measured at the pre-bytecode-VM commit).",
+	return output{
+		Schema:             "loopapalooza-bench/v6",
+		Note:               "speedup >1 means shadow/bytecode is better",
 		Machine:            mach,
 		Benchmarks:         benches,
 		ShadowVsLegacy:     shadowVsLegacy,
 		BytecodeVsTreewalk: bytecodeVsTreewalk,
 		BytecodeLowering:   lowering,
-		SeedVsCurrent:      seedVsCurrent,
 	}
-	if *outPath != "" || *comparePath == "" {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		if *outPath == "" {
-			if _, err := os.Stdout.Write(buf); err != nil {
-				return err
-			}
-		} else if err := os.WriteFile(*outPath, buf, 0o644); err != nil {
-			return err
-		}
-	}
-
-	if *comparePath != "" {
-		raw, err := os.ReadFile(*comparePath)
-		if err != nil {
-			return err
-		}
-		var base baselineDoc
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("parsing baseline %s: %v", *comparePath, err)
-		}
-		regressions, notes := compare(base.Benchmarks, benches, *tolerance)
-		for _, n := range notes {
-			fmt.Fprintln(os.Stderr, "benchjson: note:", n)
-		}
-		if len(regressions) > 0 {
-			for _, r := range regressions {
-				fmt.Fprintln(os.Stderr, "benchjson: REGRESSION:", r)
-			}
-			return fmt.Errorf("%d series regressed past %.0f%% against %s", len(regressions), *tolerance, *comparePath)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: no regression past %.0f%% against %s\n", *tolerance, *comparePath)
-	}
-	return nil
 }
 
 func main() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -44,5 +45,33 @@ func TestProbeCensusGate(t *testing.T) {
 	regs, _ := compare(base, cur, 20)
 	if len(regs) != 1 || !strings.HasPrefix(regs[0], "B probe-calls/op") {
 		t.Errorf("regressions = %q, want only probe-calls/op", regs)
+	}
+}
+
+// TestNoCrossMachineTable: the record holds only tables whose both sides
+// come from the run itself; numbers measured on another machine at an
+// earlier commit (the old seed_vs_current table) are not compared.
+func TestNoCrossMachineTable(t *testing.T) {
+	benches := []Benchmark{
+		{Name: "BenchmarkEngineLoadStore/shadow", Iterations: 10, Metrics: map[string]float64{"ns/op": 30}},
+		{Name: "BenchmarkEngineLoadStore/legacy-map", Iterations: 10, Metrics: map[string]float64{"ns/op": 250}},
+		{Name: "BenchmarkInterpreter", Iterations: 10, Metrics: map[string]float64{"ns/op": 1e6}},
+	}
+	buf, err := json.Marshal(summarize(benches, Machine{GOMAXPROCS: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(buf, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc["seed_vs_current"]; ok {
+		t.Error("record carries a seed_vs_current table")
+	}
+	if got := string(doc["schema"]); got != `"loopapalooza-bench/v6"` {
+		t.Errorf("schema = %s, want loopapalooza-bench/v6", got)
+	}
+	if _, ok := doc["shadow_vs_legacy"]; !ok {
+		t.Error("record lost its same-run shadow_vs_legacy table")
 	}
 }

@@ -80,6 +80,7 @@ func classOf(info *analysis.ModuleInfo, cfg Config) configClass {
 // engineSet is the coalesced engine pool of one MultiRun: one engine per
 // distinct behavior class, plus the configuration-to-engine assignment.
 type engineSet struct {
+	info    *analysis.ModuleInfo
 	engines []*Engine
 	assign  []int       // cfgs index → engines index
 	kind    trackerKind // the engines' dependence tracker, for the tee's shared probe
@@ -88,7 +89,7 @@ type engineSet struct {
 // prepareEngines validates every configuration and builds one engine per
 // behavior class, assigning each configuration to its class representative.
 func prepareEngines(info *analysis.ModuleInfo, cfgs []Config, kind trackerKind) (*engineSet, error) {
-	s := &engineSet{assign: make([]int, len(cfgs)), kind: kind}
+	s := &engineSet{info: info, assign: make([]int, len(cfgs)), kind: kind}
 	classes := map[configClass]int{}
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
@@ -116,7 +117,7 @@ func (s *engineSet) feed() (interp.Hooks, func()) {
 	if len(s.engines) == 1 {
 		return s.engines[0], func() {}
 	}
-	t := newChunkTee(s.engines, s.kind)
+	t := newChunkTee(s.info, s.engines, s.kind)
 	return t, t.finish
 }
 

@@ -20,16 +20,17 @@ import (
 // parallelism, realized online.
 //
 // Dependence storage lives behind a depTracker: the default shadow memory
-// (flat generation-stamped tables) or the legacy per-instance maps kept as
-// a differential oracle (see trackerKind).
+// (flat generation-stamped tables) or the legacy per-level maps kept as a
+// differential oracle (see trackerKind). An engine class on the chunk tee
+// has none (tr is nil): it judges the shared probe's candidates instead.
 type Engine struct {
 	info *analysis.ModuleInfo
 	cfg  Config
-	tr   depTracker
-	// sh is tr when it is the default shadow tracker, letting the batched
-	// hot path (memSpan) make a direct call instead of an interface
-	// dispatch; nil under the legacy-map oracle.
-	sh   *shadowTracker
+	tr   depTracker[writeRec]
+	// sh is tr when it is the default shadow tracker, for a direct call on
+	// the per-event hot path: an interface call into a generic tracker
+	// pays one more wrapper call. nil under the legacy-map oracle.
+	sh   *shadowTracker[writeRec]
 	plan evalPlan
 
 	clock   int64 // serial time: dynamic IR instructions
@@ -50,14 +51,23 @@ type Engine struct {
 
 	freeInsts []*instance // instance pool
 
-	// Scratch buffers for the batched chunk-replay path (memSpan): load
-	// hits collected by depTracker.memRun, sized to the longest run seen
-	// and reused across runs and chunks.
-	hitIdx  []int32
-	hitRecs []writeRec
-	// memRuns / memRecords count memSpan's tracker calls and the records
-	// handed to them (the chunk tee's probe census).
-	memRuns, memRecords int64
+	// ord counts the loop events replayed from the chunk tee. A HELIX
+	// class journals each savings change it makes while it has a live
+	// instance, as (ordinal, savings before the change), and clears the
+	// journal when its live list empties: enough to rebuild its savings
+	// at any ordinal a live instance's writes were stamped at (drift).
+	ord        int64
+	journal    []savingsStep
+	journalMax int
+	// memoK0 and memoI0 memoize drift's journal search for one ordinal.
+	memoK0 int64
+	memoI0 int
+}
+
+// savingsStep is one savings-journal entry: the loop-event ordinal of an
+// ExitLoop that changed the savings, and the savings before it.
+type savingsStep struct {
+	ord, before int64
 }
 
 // evalPlan is the per-configuration compiled event evaluator: which event
@@ -163,10 +173,6 @@ type instance struct {
 	conflictIters     int64
 	curIterConflicted bool
 
-	// writes is the legacy map tracker's write set (nil under the shadow
-	// tracker, which stores records in its own level tables).
-	writes map[int64]writeRec
-
 	// coveredChildren accumulates covered serial ticks reported by
 	// child instances, consumed if this instance ends up serial.
 	coveredChildren int64
@@ -189,14 +195,14 @@ func newEngineTracker(info *analysis.ModuleInfo, cfg Config, kind trackerKind) *
 	e := &Engine{
 		info:  info,
 		cfg:   cfg,
-		tr:    newTracker(kind, info),
+		tr:    newTracker[writeRec](kind, info),
 		stats: map[*analysis.LoopMeta]*LoopStat{},
 		plan: evalPlan{
 			obsLive:  cfg.Dep != 0,
 			initLive: cfg.Dep == 2 || cfg.Dep == 3,
 		},
 	}
-	e.sh, _ = e.tr.(*shadowTracker)
+	e.sh, _ = e.tr.(*shadowTracker[writeRec])
 	e.statSeq = make([]*LoopStat, len(info.Loops))
 	for _, lm := range info.Loops {
 		st := e.newStat(lm)
@@ -337,7 +343,9 @@ func (e *Engine) EnterLoop(lm *analysis.LoopMeta, sp int64, init []interp.Val) {
 		inst.enterAdj, inst.enterSerial = now, ser
 		inst.iterStartAdj, inst.iterStartSerial = now, ser
 		inst.iterStartSP = sp
-		e.tr.enter(inst)
+		if e.tr != nil {
+			e.tr.enter(inst.depth)
+		}
 		inst.liveIdx = len(e.live)
 		e.live = append(e.live, inst)
 		// Train predictors on the live-in values (iteration 0 values
@@ -504,7 +512,6 @@ func (e *Engine) ExitLoop(lm *analysis.LoopMeta) {
 		}
 		st.SerialTicks += ser - inst.enterSerial
 		e.unlive(inst)
-		e.tr.drop(inst)
 	} else {
 		// Untracked instances were measured by an enclosing tracked
 		// instance (or by nobody); they only forward covered ticks.
@@ -540,7 +547,13 @@ func (e *Engine) Load(addr int64) {
 			// this iteration began are iteration-private.
 			continue
 		}
-		rec, ok := e.tr.loadAt(inst, r, ri, addr)
+		var rec writeRec
+		var ok bool
+		if e.sh != nil {
+			rec, ok = e.sh.loadAt(inst.depth, r, ri, addr)
+		} else {
+			rec, ok = e.tr.loadAt(inst.depth, r, ri, addr)
+		}
 		if !ok {
 			continue
 		}
@@ -580,7 +593,6 @@ func (e *Engine) memConflict(inst *instance, rec writeRec, c int64) {
 			inst.conflictIters++
 		}
 		e.unlive(inst)
-		e.tr.drop(inst)
 	case PDOALL:
 		if inst.curIterConflicted {
 			return
@@ -600,14 +612,10 @@ func (e *Engine) memConflict(inst *instance, rec writeRec, c int64) {
 		// amortized over the iteration distance — HELIX synchronizes
 		// every neighboring pair of iterations, which is exactly why
 		// rare-conflict loops can prefer PDOALL (paper §IV).
-		gap := inst.iters - rec.iter
-		if gap <= 0 {
+		if inst.iters <= rec.iter {
 			return
 		}
-		slope := rec.off - c
-		if e.cfg.AmortizeHelixDelta {
-			slope = slope / gap
-		}
+		slope := e.helixSlope(inst, rec, c)
 		if slope < 0 {
 			slope = 0
 		}
@@ -619,6 +627,18 @@ func (e *Engine) memConflict(inst *instance, rec writeRec, c int64) {
 			inst.conflictIters++
 		}
 	}
+}
+
+// helixSlope is the HELIX synchronization slope of a conflict between
+// the write rec and a load at adjusted offset c of the instance's current
+// iteration, a later one than rec's: the producer-consumer offset, divided
+// by the iteration distance under AmortizeHelixDelta.
+func (e *Engine) helixSlope(inst *instance, rec writeRec, c int64) int64 {
+	slope := rec.off - c
+	if e.cfg.AmortizeHelixDelta {
+		slope /= inst.iters - rec.iter
+	}
+	return slope
 }
 
 // Store implements interp.Hooks: record the write for RAW detection. The
@@ -635,60 +655,72 @@ func (e *Engine) Store(addr int64) {
 		if onStack && addr < inst.iterStartSP {
 			continue
 		}
-		e.tr.storeAt(inst, r, ri, addr, writeRec{iter: inst.iters, off: now - inst.iterStartAdj})
+		rec := writeRec{iter: inst.iters, off: now - inst.iterStartAdj}
+		if e.sh != nil {
+			e.sh.storeAt(inst.depth, r, ri, addr, rec)
+		} else {
+			e.tr.storeAt(inst.depth, r, ri, addr, rec)
+		}
 	}
 }
 
-// memSpan applies one run of mixed load/store/tick records — a
-// chunk's memory span — through the batched tracker path.
-//
-// The run is processed instance-major: each live instance resolves the
-// whole run in ONE depTracker.memRun call, then the engine applies the RAW
-// policy to the (rare) load hits in record order. This is bit-identical to
-// the per-event walk because, between loop events, there is no data flow
-// between instances: loads are pure, stores touch only the instance's own
-// write set, conflicts mutate only the conflicting instance, and the clock
-// evolution inside the run is data-independent (ticks[i] gives the exact
-// clock advance before record i, and savings cannot change inside a run).
-// Per-instance policy state (phaseFirstIter, curIterConflicted) is read
-// and written in the same record order as per-event dispatch.
-//
-// A DOALL conflict serializes the instance mid-run; per-event dispatch
-// would stop consulting the tracker for it, so the policy loop stops
-// applying hits (the tracker already resolved the whole run, but its state
-// for a dropped instance is invalidated by the next generation bump, and
-// the discarded hits match exactly what per-event dispatch never saw).
-//
-// sum is the span's shared conflict summary (nil when the producer did not
-// compute one); it lets the tracker skip provably hit-free probe work and
-// never changes the hit list.
-func (e *Engine) memSpan(evs []memEv, sum *spanSum) {
-	if len(e.live) == 0 {
-		return
+// drift returns J(kw) − J(k0), the savings this class made between the
+// loop-event ordinals k0 <= kw of one write's stamp, where J(k) is the
+// savings in effect after the first k loop events replayed. Valid for any
+// k0 no older than the entry of the oldest live instance, which the
+// journal covers: J(k) is the savings before the journal's first change
+// past k, or the current savings when no later change exists.
+func (e *Engine) drift(k0, kw int64) int64 {
+	j := e.journal
+	// Candidates mostly share their writer iteration: the journal index
+	// past k0 is memoized (appends keep it, a clear resets the memo).
+	if k0 != e.memoK0 {
+		e.memoK0, e.memoI0 = k0, firstAfter(j, 0, k0)
 	}
-	if cap(e.hitIdx) < len(evs) {
-		e.hitIdx = make([]int32, len(evs))
-		e.hitRecs = make([]writeRec, len(evs))
+	i0 := e.memoI0
+	if i0 == len(j) {
+		return 0 // no change since k0
 	}
-	hitIdx, hitRecs := e.hitIdx, e.hitRecs
-	adj0 := e.adj()
-	for li := len(e.live) - 1; li >= 0; li-- {
-		inst := e.live[li]
-		offBase := adj0 - inst.iterStartAdj
-		e.memRuns++
-		e.memRecords += int64(len(evs))
-		var nh int
-		if sh := e.sh; sh != nil { // direct call on the default tracker
-			nh = sh.memRun(inst, evs, inst.iters, offBase, inst.iterStartSP, hitIdx, hitRecs, sum)
+	iw := firstAfter(j, i0, kw)
+	sw := e.savings
+	if iw < len(j) {
+		sw = j[iw].before
+	}
+	return sw - j[i0].before
+}
+
+// firstAfter returns the index of the journal's first step past ordinal
+// k, or len(j), given that no step before index lo is past k: it gallops
+// forward from lo, then bisects.
+func firstAfter(j []savingsStep, lo int, k int64) int {
+	hi, d := lo, 1
+	for hi < len(j) && j[hi].ord <= k {
+		lo = hi + 1
+		hi += d
+		d *= 2
+	}
+	hi = min(hi, len(j))
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if j[m].ord > k {
+			hi = m
 		} else {
-			nh = e.tr.memRun(inst, evs, inst.iters, offBase, inst.iterStartSP, hitIdx, hitRecs, sum)
+			lo = m + 1
 		}
-		for h := 0; h < nh; h++ {
-			e.loadHit(inst, hitRecs[h], offBase+evs[hitIdx[h]].tick)
-			if inst.liveIdx < 0 {
-				break
-			}
-		}
+	}
+	return lo
+}
+
+// journalExit keeps a HELIX class's savings journal across one replayed
+// ExitLoop, given the savings before it.
+func (e *Engine) journalExit(before int64) {
+	switch {
+	case len(e.live) == 0:
+		e.journal = e.journal[:0]
+		e.memoK0 = 0 // no ordinal: they start at 1
+	case e.savings != before:
+		e.journal = append(e.journal, savingsStep{ord: e.ord, before: before})
+		e.journalMax = max(e.journalMax, len(e.journal))
 	}
 }
 

@@ -24,15 +24,17 @@ package core
 // tracks memory conflicts between loop iterations and three models that
 // judge what it finds. The tee mirrors that split: a shared dependence
 // probe (sharedProbe) follows the loop stack on the producer side and,
-// as each memory span closes, resolves it against one shadow tracker at
-// every nesting level some DOALL or PDOALL class can track, recording each
-// cross-iteration hit as a candidate (probeCand) in the chunk. DOALL and
-// PDOALL classes then only apply their own policy to the candidates of
-// their live instances — they read nothing but the writer's iteration,
-// which, like the loop stack and the cactus-stack bound, is the same in
-// every class. HELIX classes keep their own timed shadow memory
-// (Engine.memSpan → depTracker.memRun): the HELIX delta reads the writer's
-// adjusted offset, which differs per class.
+// as each memory span closes, resolves it against the run's one shadow
+// tracker at every nesting level some class can track, recording each
+// cross-iteration hit as a candidate (probeCand) in the chunk. Every class
+// then only applies its own policy to the candidates of its live
+// instances; no class owns shadow memory. DOALL and PDOALL read nothing
+// but the writer's iteration, which, like the loop stack and the
+// cactus-stack bound, is the same in every class. The HELIX delta also
+// reads the write's offset on the class's adjusted clock: the candidate
+// carries a class-independent stamp (serial offset and loop-event
+// ordinals) from which each HELIX class rebuilds it exactly, through a
+// journal of its own savings changes (see stamp and Engine.drift).
 //
 // When the chunk fills, every engine class replays it
 // (Engine.replayChunkBatched). The optional trace writer needs the
@@ -84,44 +86,40 @@ type evRec struct {
 const chunkRecs = 4096
 
 // evChunk is one batch of events in replay-plan form: the partition into
-// spans, the loop-event records the singleton spans address, the dense
-// memory-record array the memory spans index (kind, region classification,
-// and intra-span tick offsets, in record order), the copied payloads, one
-// conflict summary per memory span (flat, parallel slice indexed by
-// runSpan.sumIdx) that HELIX classes consult before probing, and the
-// shared probe's candidates that DOALL and PDOALL classes judge.
+// spans, the loop-event records the singleton spans address, the copied
+// payloads, and the shared probe's candidates that every class judges.
+// mem holds the memory records (kind, region classification, and
+// intra-span tick offsets, in record order) the probe resolves as each
+// memory span closes; no class reads them.
 type evChunk struct {
 	recs  []evRec
 	vals  []interp.Val
 	obs   []interp.LCDObs
 	spans []runSpan
 	mem   []memEv
-	sums  []spanSum
 	cands []probeCand
 }
 
 // runSpan is one element of a chunk's replay plan. Loop events
 // (enter/iter/exit) are singleton spans addressing recs[rec]; everything
 // between them — loads, stores, and the ticks interleaved with them — is
-// one memory span addressing the chunk's dense m-arrays [mstart, mend) and
-// its shared-probe candidates [cstart, cend), with sum the total clock
-// advance inside the span.
+// one memory span addressing its shared-probe candidates [cstart, cend),
+// with sum the total clock advance inside the span.
 type runSpan struct {
 	kind         evKind
 	rec          int32 // record index, for loop-event spans
-	mstart, mend int32 // m-array range, for memory spans
 	cstart, cend int32 // candidate range in the chunk's cands, for memory spans
-	sumIdx       int32 // conflict-summary index in the chunk's sums, for memory spans
 	sum          int64 // Σ tick payloads, for memory spans
 }
 
 // probeCand is one shared-probe candidate: a load of a memory span that
 // found a write recorded by an EARLIER iteration of the loop instance at
 // nesting level level. Candidates of one span are grouped by level, in
-// record order within a level; no class reads which load it was.
+// record order within a level.
 type probeCand struct {
 	level int32 // nesting level: the instance's engine stack depth
-	iter  int64 // the writer's iteration
+	tick  int64 // the load's clock advance inside its span
+	w     stamp // the write's record
 }
 
 // chunkPool recycles whole chunks across MultiRun calls; a chunk's
@@ -136,7 +134,6 @@ var chunkPool = sync.Pool{New: func() any {
 		// flush at most one more.
 		spans: make([]runSpan, 0, 2*chunkRecs+2),
 		mem:   make([]memEv, 0, chunkRecs),
-		sums:  make([]spanSum, 0, chunkRecs+2),
 		cands: make([]probeCand, 0, chunkRecs),
 	}
 }}
@@ -148,19 +145,17 @@ func (c *evChunk) reset() {
 	c.obs = c.obs[:0]
 	c.spans = c.spans[:0]
 	c.mem = c.mem[:0]
-	c.sums = c.sums[:0]
 	c.cands = c.cands[:0]
 }
 
 // replayChunkBatched applies one chunk to an engine, the per-config
 // compiled evaluator of the fan-out:
 //
-//   - with probed set (DOALL and PDOALL classes under a shared probe), a
-//     memory span only judges the probe's candidates (Engine.judgeCands);
-//   - otherwise each memory span makes ONE tracker dispatch per live loop
-//     instance (Engine.memSpan → depTracker.memRun) instead of one per
-//     event, with the precomputed intra-span tick offsets keeping every
-//     store's clock stamp and every conflict offset exact;
+//   - a memory span only judges the shared probe's candidates
+//     (Engine.judgeCands), whose stamps and load advances keep every
+//     conflict offset exact;
+//   - loop events are counted (the ordinals the probe stamps), and a
+//     HELIX class journals the savings each ExitLoop changes;
 //   - the span's tick sum collapses to a single clock add (Tick only
 //     accumulates, so the precomputed sum is exact — and the coalescing is
 //     strictly consumer-side, leaving recorded trace bytes untouched);
@@ -171,19 +166,18 @@ func (c *evChunk) reset() {
 //
 // The result is bit-identical to feeding Engine's per-event hooks, which
 // is what Run does; the oracle suites pin that equivalence.
-func (e *Engine) replayChunkBatched(c *evChunk, probed bool) {
+func (e *Engine) replayChunkBatched(c *evChunk) {
 	for si := range c.spans {
 		s := &c.spans[si]
-		switch s.kind {
-		case evMemSpan:
-			if probed {
-				if s.cend > s.cstart {
-					e.judgeCands(c.cands[s.cstart:s.cend])
-				}
-			} else if s.mend > s.mstart {
-				e.memSpan(c.mem[s.mstart:s.mend], &c.sums[s.sumIdx])
+		if s.kind == evMemSpan {
+			if s.cend > s.cstart {
+				e.judgeCands(c.cands[s.cstart:s.cend])
 			}
 			e.clock += s.sum
+			continue
+		}
+		e.ord++
+		switch s.kind {
 		case evEnter:
 			r := &c.recs[s.rec]
 			var init []interp.Val
@@ -199,7 +193,11 @@ func (e *Engine) replayChunkBatched(c *evChunk, probed bool) {
 			}
 			e.IterLoop(r.lm, r.a, obs)
 		case evExit:
+			before := e.savings
 			e.ExitLoop(c.recs[s.rec].lm)
+			if e.cfg.Model == HELIX {
+				e.journalExit(before)
+			}
 		}
 	}
 }
@@ -251,40 +249,39 @@ func (t *recordTee) Store(addr int64) {
 // builds the replay plan at write time: ticks fold straight into the open
 // memory span's sum, loads and stores append classified memEv records, and
 // only loop events materialize as evRecs. One pooled chunk serves the
-// whole run. When some class runs DOALL or PDOALL, the tee also drives the
-// shared dependence probe: loop events move its loop-stack mirror, and
-// each closing memory span is probed once for all of those classes.
+// whole run. The tee also drives the shared dependence probe: loop events
+// move its loop-stack mirror, and each closing memory span is probed once
+// for every class.
 type chunkTee struct {
 	engines []*Engine
-	probe   *sharedProbe // nil when every class runs HELIX
+	probe   *sharedProbe
 	cur     *evChunk
 	sum     int64 // Σ tick payloads of the open memory span
 	mstart  int32 // start of the open memory span in cur.mem
 }
 
-func newChunkTee(engines []*Engine, kind trackerKind) *chunkTee {
+// newChunkTee builds the tee over engines, which give up their own
+// trackers: the shared probe holds the run's only shadow memory.
+func newChunkTee(info *analysis.ModuleInfo, engines []*Engine, kind trackerKind) *chunkTee {
+	for _, e := range engines {
+		e.tr, e.sh = nil, nil
+	}
 	return &chunkTee{
 		engines: engines,
-		probe:   newSharedProbe(engines, kind),
+		probe:   newSharedProbe(info, engines, kind),
 		cur:     chunkPool.Get().(*evChunk),
 	}
 }
 
-// closeMemSpan ends the open memory span, emitting it — with its shared
-// conflict summary and its shared-probe candidates — if it observed any
-// tick or memory record.
+// closeMemSpan ends the open memory span, emitting it — with its
+// shared-probe candidates — if it observed any tick or memory record.
 func (t *chunkTee) closeMemSpan() {
 	c := t.cur
 	if t.sum != 0 || int32(len(c.mem)) > t.mstart {
-		si := int32(len(c.sums))
-		c.sums = append(c.sums, summarizeSpan(c.mem[t.mstart:]))
 		cstart := int32(len(c.cands))
-		if t.probe != nil && int32(len(c.mem)) > t.mstart {
-			t.probe.span(c, t.mstart, &c.sums[si])
-		}
+		t.probe.span(c, c.mem[t.mstart:], t.sum)
 		c.spans = append(c.spans, runSpan{
-			kind: evMemSpan, mstart: t.mstart, mend: int32(len(c.mem)),
-			cstart: cstart, cend: int32(len(c.cands)), sumIdx: si, sum: t.sum,
+			kind: evMemSpan, cstart: cstart, cend: int32(len(c.cands)), sum: t.sum,
 		})
 		t.sum = 0
 		t.mstart = int32(len(c.mem))
@@ -335,9 +332,7 @@ func (t *chunkTee) EnterLoop(lm *analysis.LoopMeta, sp int64, init []interp.Val)
 	off := int32(len(c.vals))
 	c.vals = append(c.vals, init...)
 	t.loopRec(evRec{kind: evEnter, lm: lm, a: sp, off: off, n: int32(len(init))})
-	if t.probe != nil {
-		t.probe.enter(lm, sp)
-	}
+	t.probe.enter(lm, sp)
 }
 
 // IterLoop implements interp.Hooks: the obs scratch slice is copied into
@@ -347,17 +342,13 @@ func (t *chunkTee) IterLoop(lm *analysis.LoopMeta, sp int64, obs []interp.LCDObs
 	off := int32(len(c.obs))
 	c.obs = append(c.obs, obs...)
 	t.loopRec(evRec{kind: evIter, lm: lm, a: sp, off: off, n: int32(len(obs))})
-	if t.probe != nil {
-		t.probe.iter(lm, sp)
-	}
+	t.probe.iter(lm, sp)
 }
 
 // ExitLoop implements interp.Hooks.
 func (t *chunkTee) ExitLoop(lm *analysis.LoopMeta) {
 	t.loopRec(evRec{kind: evExit, lm: lm})
-	if t.probe != nil {
-		t.probe.exit(lm)
-	}
+	t.probe.exit(lm)
 }
 
 // flush replays the buffered plan into every engine and resets the chunk
@@ -373,8 +364,9 @@ func (t *chunkTee) flush() {
 		return
 	}
 	for _, e := range t.engines {
-		e.replayChunkBatched(c, t.probe != nil && e.cfg.Model != HELIX)
+		e.replayChunkBatched(c)
 	}
+	t.probe.work.Candidates += int64(len(c.cands))
 	c.reset()
 	t.mstart = 0
 }
@@ -384,16 +376,9 @@ func (t *chunkTee) flush() {
 // the pool.
 func (t *chunkTee) finish() {
 	t.flush()
-	var w probeWork
-	if p := t.probe; p != nil {
-		w = p.work
-		if p.sh != nil {
-			w.SharedSkips = p.sh.skips
-		}
-	}
+	w := t.probe.work
 	for _, e := range t.engines {
-		w.ClassCalls[e.cfg.Model] += e.memRuns
-		w.ClassRecords[e.cfg.Model] += e.memRecords
+		w.JournalMax = max(w.JournalMax, int64(e.journalMax))
 	}
 	addProbeWork(&w)
 	t.cur.reset()

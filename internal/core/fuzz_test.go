@@ -95,3 +95,44 @@ func FuzzCompileAndRun(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMultiRunDifferential drives the chunk tee — the shared dependence
+// probe and every class judging its candidates — on generator-derived
+// programs: one MultiRun over the paper grid plus an amortized-delta
+// HELIX configuration must report, configuration by configuration, what
+// per-config Run reports on the legacy map tracker, the per-event path.
+// Both run under the fuzz budgets and must fail alike.
+func FuzzMultiRunDifferential(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add([]byte{0})
+	f.Add([]byte{255, 1, 128, 7})
+	f.Add([]byte("loopapalooza"))
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1})
+
+	amortized := BestHELIX()
+	amortized.AmortizeHelixDelta = true
+	cfgs := append(PaperConfigs(), amortized)
+	f.Fuzz(func(t *testing.T, seed []byte) {
+		src := lpcgen.Program(seed)
+		info, err := AnalyzeSource("fuzz.lpc", src)
+		if err != nil {
+			t.Fatalf("generated program failed to compile: %v\nsource:\n%s", err, src)
+		}
+		reps, err := MultiRun(info, cfgs, fuzzRunOpts(trackerShadow))
+		classifyRunErr(t, err, src)
+		for i, cfg := range cfgs {
+			want, werr := Run(info, cfg, fuzzRunOpts(trackerLegacyMap))
+			classifyRunErr(t, werr, src)
+			if Classify(err) != Classify(werr) {
+				t.Fatalf("%s: MultiRun failed with %v, Run with %v\nsource:\n%s", cfg, err, werr, src)
+			}
+			if err != nil {
+				continue
+			}
+			if cerr := CompareReports(want, reps[i]); cerr != nil {
+				t.Fatalf("%s: %v\nsource:\n%s", cfg, cerr, src)
+			}
+		}
+	})
+}

@@ -1,8 +1,8 @@
 package core
 
-// Tests for the chunk tee's shared dependence probe: every DOALL and
-// PDOALL class judges the candidates of one probe instead of probing its
-// own shadow memory. Each test compares the tee's reports against one
+// Tests for the chunk tee's shared dependence probe: every engine class,
+// HELIX included, judges the candidates of one probe instead of probing
+// its own shadow memory. Each test compares the tee's reports against one
 // per-event engine per configuration on the legacy map tracker — the
 // path core.Run takes under the tracker oracle — so a probe that misses,
 // invents or misorders a hit shows up as a report difference.
@@ -57,13 +57,14 @@ func teeRun(t *testing.T, info *analysis.ModuleInfo, cfgs []Config) ([]*Report, 
 	return set.reports(cfgs, info.Mod.Name), tee
 }
 
-// checkNoClassProbes fails when a DOALL or PDOALL class called its own
-// tracker on the tee path.
+// checkNoClassProbes fails when a class of any model owns a dependence
+// tracker on the tee path: one that owns none made zero probes of its own
+// and holds no shadow table; the shared probe made every probe.
 func checkNoClassProbes(t *testing.T, tee *chunkTee) {
 	t.Helper()
 	for _, e := range tee.engines {
-		if e.cfg.Model != HELIX && e.memRuns != 0 {
-			t.Errorf("%s class made %d memRun calls under the shared probe", e.cfg, e.memRuns)
+		if e.tr != nil {
+			t.Errorf("%s class owns a %T under the shared probe", e.cfg, e.tr)
 		}
 	}
 }
@@ -194,7 +195,7 @@ func probeConfigs() []Config {
 
 // checkScript plays s through the tee over cfgs and through one per-event
 // map-tracker engine per configuration, and fails on any report
-// difference. With shrink, every shadow tracker runs on the shrunken
+// difference. With shrink, the probe's shadow tracker runs on the shrunken
 // differential caps so boundary addresses stay cheap; the map oracle has
 // no caps, so the comparison holds either way. After every event the
 // tee is flushed on 'f' and, once flushed, each engine's loop stack must
@@ -211,14 +212,8 @@ func checkScript(t *testing.T, info *analysis.ModuleInfo, cfgs []Config, s probe
 	h, drain := set.feed()
 	tee := h.(*chunkTee)
 	if shrink {
-		trackers := []*shadowTracker{tee.probe.sh}
-		for _, e := range set.engines {
-			trackers = append(trackers, e.sh)
-		}
-		for _, sh := range trackers {
-			sh.caps[regHeap] = diffHeapCap
-			sh.caps[regStack] = diffStackCap
-		}
+		tee.probe.sh.caps[regHeap] = diffHeapCap
+		tee.probe.sh.caps[regStack] = diffStackCap
 	}
 	step := 0
 	s.play(tee, func() {
@@ -356,7 +351,10 @@ func TestSharedProbeMismatchedLoopEvents(t *testing.T) {
 // randomProbeScript draws a stream of nested loop events, ticks, loads and
 // stores on diffAddr's boundary addresses, with mismatched loop events
 // and explicit flushes mixed in. Stack addresses and SPs share a window
-// near the stack top so the cactus-stack bound cuts both ways.
+// near the stack top so the cactus-stack bound cuts both ways. Some
+// stretches are whole inner loops, entered and exited inside an outer
+// iteration: where a class tracks them they save time, so the classes'
+// adjusted clocks drift apart between a write and its iteration's start.
 func randomProbeScript(rng *rand.Rand, info *analysis.ModuleInfo, n int) probeScript {
 	// A trackable meta outside the module's numbering whose Seq names
 	// the module's untrackable loop: the probe must not trust the Seq.
@@ -389,6 +387,8 @@ func randomProbeScript(rng *rand.Rand, info *analysis.ModuleInfo, n int) probeSc
 			s = append(s, probeEv{kind: 'x', lm: lm})
 		case k < 16:
 			s = append(s, probeEv{kind: 'f'})
+		case k < 19 && len(stack) > 0 && len(stack) < 5:
+			s = append(s, innerLoop(rng, metas[rng.Intn(len(metas))], sp())...)
 		case k < 40:
 			s = append(s, probeEv{kind: 't', v: int64(rng.Intn(6))})
 		default:
@@ -409,6 +409,119 @@ func randomProbeScript(rng *rand.Rand, info *analysis.ModuleInfo, n int) probeSc
 		s = append(s, probeEv{kind: 'x', lm: stack[i]})
 	}
 	return s
+}
+
+// innerLoop is a whole loop instance of lm: two to four iterations of
+// uneven length, each touching the shared address pool, so a class that
+// tracks lm and finds no conflict saves time at the exit.
+func innerLoop(rng *rand.Rand, lm *analysis.LoopMeta, sp int64) probeScript {
+	s := probeScript{{kind: 'e', lm: lm, v: sp}}
+	n := 2 + rng.Intn(3)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			s = append(s, probeEv{kind: 'i', lm: lm, v: sp})
+		}
+		s = append(s, probeEv{kind: 't', v: int64(1 + rng.Intn(12))})
+		if rng.Intn(2) == 0 {
+			kind := byte('l')
+			if rng.Intn(2) == 0 {
+				kind = 's'
+			}
+			s = append(s, probeEv{kind: kind, v: diffAddr(byte(rng.Intn(12)), byte(rng.Intn(8)))})
+		}
+	}
+	return append(s, probeEv{kind: 't', v: int64(rng.Intn(3))}, probeEv{kind: 'x', lm: lm})
+}
+
+// TestSharedProbeHelixAdjustedOffset: two HELIX classes disagree on an
+// inner loop — one tracks it and saves time at its exit, the other
+// cannot (the loop calls a function) — before an outer iteration's
+// producer store, so the store's offset on their adjusted clocks, and
+// with it the outer loop's delta, differs. Each outer loop isolates one
+// way of rebuilding that offset from the shared probe's stamp:
+//
+//   - tie-after: the store follows the inner exit at the same serial
+//     clock, so only the loop-event ordinal places it after the savings;
+//   - tie-before: the store ends the inner loop's last iteration at the
+//     exit's serial clock, before the savings;
+//   - later-iteration: the writer iteration starts after the savings, so
+//     its start ordinal must read them too.
+func TestSharedProbeHelixAdjustedOffset(t *testing.T) {
+	info := probeInfo()
+	inner := info.Loops[1] // calls a pure function: trackable under fn1..fn3
+	heap := int64(interp.HeapBase)
+	const sp = int64(interp.StackTop)
+	// iter0 runs the inner loop, three iterations of 10 ticks: a class
+	// that tracks it saves 20.
+	iter0 := func(outer *analysis.LoopMeta, beforeExit, afterExit probeScript) probeScript {
+		s := probeScript{{kind: 'e', lm: outer, v: sp}, {kind: 't', v: 2},
+			{kind: 'e', lm: inner, v: sp}, {kind: 't', v: 10},
+			{kind: 'i', lm: inner, v: sp}, {kind: 't', v: 10},
+			{kind: 'i', lm: inner, v: sp}, {kind: 't', v: 10}}
+		s = append(s, beforeExit...)
+		s = append(s, probeEv{kind: 'x', lm: inner})
+		s = append(s, afterExit...)
+		return append(s, probeEv{kind: 't', v: 5}, probeEv{kind: 'f'}, probeEv{kind: 'i', lm: outer, v: sp})
+	}
+	tail := func(outer *analysis.LoopMeta) probeScript {
+		return probeScript{{kind: 't', v: 4}, {kind: 'i', lm: outer, v: sp}, {kind: 't', v: 1}, {kind: 'x', lm: outer}}
+	}
+	var s probeScript
+	// tie-after (loop 0): the load of A reads iteration 0 from iteration 2.
+	s = append(s, iter0(info.Loops[0], nil, probeScript{{kind: 's', v: heap + 1}})...)
+	s = append(s, probeEv{kind: 't', v: 3}, probeEv{kind: 'i', lm: info.Loops[0], v: sp},
+		probeEv{kind: 't', v: 1}, probeEv{kind: 'l', v: heap + 1})
+	s = append(s, tail(info.Loops[0])...)
+	// tie-before (loop 4): the same, with the store ahead of the exit.
+	s = append(s, iter0(info.Loops[4], probeScript{{kind: 's', v: heap + 2}}, nil)...)
+	s = append(s, probeEv{kind: 't', v: 3}, probeEv{kind: 'i', lm: info.Loops[4], v: sp},
+		probeEv{kind: 't', v: 1}, probeEv{kind: 'l', v: heap + 2})
+	s = append(s, tail(info.Loops[4])...)
+	// later-iteration (loop 5): iteration 1 stores late, iteration 2
+	// reads early.
+	s = append(s, iter0(info.Loops[5], nil, nil)...)
+	s = append(s, probeEv{kind: 't', v: 30}, probeEv{kind: 's', v: heap + 3}, probeEv{kind: 't', v: 3},
+		probeEv{kind: 'i', lm: info.Loops[5], v: sp}, probeEv{kind: 't', v: 1}, probeEv{kind: 'l', v: heap + 3})
+	s = append(s, tail(info.Loops[5])...)
+
+	untracked := Config{Model: HELIX, Reduc: 1, Dep: 1, Fn: 0}
+	tracked := Config{Model: HELIX, Reduc: 1, Dep: 1, Fn: 3}
+	amortized := tracked
+	amortized.AmortizeHelixDelta = true
+	cfgs := []Config{untracked, tracked, amortized, {Model: PDOALL, Fn: 3}}
+	tee := checkScript(t, info, cfgs, s, false)
+
+	// The per-event engines agree with the tee; pin the deltas they agree
+	// on. Adjusted offsets: tie-after 32−20 vs 32, tie-before 32 in
+	// both, later-iteration 30 in both; every load sits 1 tick into its
+	// iteration, so the slope is the offset minus 1 (halved under
+	// amortization for the loads two iterations on).
+	want := map[Config][3]int64{
+		untracked: {31, 31, 29},
+		tracked:   {11, 31, 29},
+		amortized: {5, 15, 29},
+	}
+	for _, e := range tee.engines {
+		w, ok := want[e.cfg]
+		if !ok {
+			continue
+		}
+		for i, lm := range []*analysis.LoopMeta{info.Loops[0], info.Loops[4], info.Loops[5]} {
+			if got := e.statOf(lm).LastDelta; got != w[i] {
+				t.Errorf("%s: loop %d delta %d, want %d", e.cfg, lm.Seq, got, w[i])
+			}
+		}
+		// The journal empties with the live list: one savings change
+		// per outer instance, never kept past it.
+		wantMax := 0
+		if e.cfg.Fn == 3 {
+			wantMax = 1
+		}
+		if len(e.journal) != 0 || e.journalMax != wantMax {
+			t.Errorf("%s: journal holds %d steps after the run (longest %d), want 0 (longest %d)",
+				e.cfg, len(e.journal), e.journalMax, wantMax)
+		}
+	}
 }
 
 // TestSharedProbeDifferentialProperty feeds randomized streams straight

@@ -71,10 +71,9 @@ func BenchmarkSweepEngines(b *testing.B) {
 // Besides time and allocations it reports the chunk tee's probe census
 // per op, a deterministic work count benchjson gates: shared-probe
 // tracker calls, the records handed to them, the calls the span summaries
-// answered without probing a load, the candidates emitted, and the tracker
-// calls and records of the classes that still probe on their own, by
-// model (doall-/pdoall- stay zero: those classes judge the shared probe's
-// candidates).
+// answered without probing a load, and the candidates emitted — no class
+// probes a tracker of its own — plus journal-max, the longest savings
+// journal any HELIX class kept, which bounds the journals' memory.
 func BenchmarkSweepFanout(b *testing.B) {
 	benches := bench.BySuite(bench.SuiteEEMBC)
 	if len(benches) == 0 {
@@ -103,9 +102,6 @@ func BenchmarkSweepFanout(b *testing.B) {
 		per(w.SharedRecords, "probe-records/op")
 		per(w.SharedSkips, "probe-skips/op")
 		per(w.Candidates, "probe-cands/op")
-		for m, name := range []string{"doall", "pdoall", "helix"} {
-			per(w.ClassCalls[m], name+"-calls/op")
-			per(w.ClassRecords[m], name+"-records/op")
-		}
+		b.ReportMetric(float64(w.JournalMax), "journal-max")
 	})
 }

@@ -19,69 +19,37 @@ const (
 	// compare per active loop level, and clearing an instance is a
 	// generation bump instead of a map drop.
 	trackerShadow trackerKind = iota
-	// trackerLegacyMap is the original per-instance map[int64]writeRec
-	// write set, retained as the correctness oracle.
+	// trackerLegacyMap is the original map write set, one per nesting
+	// level, retained as the correctness oracle.
 	trackerLegacyMap
 )
 
-// depTracker stores, per active loop instance, the last cross-iteration
-// write to each address. The engine owns all policy (cactus-stack
-// exemption, same-iteration and committed-phase filtering, conflict
-// handling); the tracker is pure storage.
+// depTracker stores, per active loop nesting level, the last write to each
+// address, as a record of type R: the engine's writeRec on the per-event
+// path, the shared probe's wider stamp on the chunk tee. The engine owns
+// all policy (cactus-stack exemption, same-iteration and committed-phase
+// filtering, conflict handling); the tracker is pure storage. A level's
+// writes outlive its instance until the next instance there enters:
+// nothing probes a level whose instance exited or serialized.
 //
 // All access methods take the address's region classification (r, idx)
 // alongside the raw address: callers classify with region() ONCE per event
 // (or once per address run, on the batched paths) and the tracker never
 // re-derives it — the region branch is hoisted out of the per-event call.
-type depTracker interface {
-	// enter prepares (or resets) storage for an instance that begins
-	// tracking. inst.depth is its nesting level, unique among active
-	// instances.
-	enter(inst *instance)
-	// loadAt returns the recorded write covering addr for inst, if any.
+type depTracker[R any] interface {
+	// enter prepares (or resets) the storage of nesting level d for an
+	// instance that begins tracking there. Exactly one active instance
+	// occupies a level.
+	enter(d int)
+	// loadAt returns the recorded write covering addr at level d, if any.
 	// (r, idx) must be region(addr).
-	loadAt(inst *instance, r int, idx int64, addr int64) (writeRec, bool)
-	// storeAt records a write at addr for inst. (r, idx) must be
+	loadAt(d int, r int, idx int64, addr int64) (R, bool)
+	// storeAt records a write at addr at level d. (r, idx) must be
 	// region(addr).
-	storeAt(inst *instance, r int, idx int64, addr int64, rec writeRec)
-	// memRun resolves a whole run of mixed load/store records for inst in
-	// ONE call — the batched chunk-replay hot path. It has two callers on
-	// the chunk tee: the shared probe (sharedProbe.span), once per memory
-	// span and watched nesting level on behalf of every DOALL and PDOALL
-	// class, which then only judge the cross-iteration hits; and each
-	// HELIX class (Engine.memSpan), once per span and live instance on its
-	// own timed tracker, since HELIX reads the writes' adjusted offsets.
-	// Each memEv carries its kind, region classification, and the clock
-	// advance accumulated inside the run before it (the engine applies the
-	// run's total to its clock afterwards; no other event can occur inside
-	// a run).
-	//
-	// Stores record writeRec{iter: iter, off: offBase + ev.tick} — iter
-	// and offBase are run constants because iteration boundaries end a
-	// run. (The shared probe passes offBase 0: nothing it serves reads
-	// off.) Loads that find a record append (record index, record) to
-	// hitIdx/hitRecs; memRun returns the hit count and the engine applies
-	// the RAW policy afterwards, in record order (loads are pure, and
-	// hits are rare, so deferring policy keeps this loop branch-light).
-	//
-	// Records with reg == regStack and addr < spLimit are skipped
-	// wholesale: the engine pre-resolves its cactus-stack exemption
-	// (frames pushed after the current iteration began, i.e. addresses
-	// below the iteration-start SP, are iteration-private) into that one
-	// bound so the filter costs a compare here instead of a callback.
-	//
-	// sum, when non-nil, is the span's shared conflict summary
-	// (summarizeSpan of evs). It is purely an optimization hint: the hit
-	// list and every state change MUST be identical to memRun with a nil
-	// summary — implementations may use it only to skip work whose
-	// absence of effect the summary proves.
-	memRun(inst *instance, evs []memEv,
-		iter, offBase, spLimit int64, hitIdx []int32, hitRecs []writeRec, sum *spanSum) int
-	// drop discards inst's write set (the instance serialized or exited).
-	drop(inst *instance)
+	storeAt(d int, r int, idx int64, addr int64, rec R)
 }
 
-// memRun record kinds.
+// Memory record kinds.
 const (
 	memLoad  uint8 = 0
 	memStore uint8 = 1
@@ -103,12 +71,11 @@ const (
 
 // spanSum is the producer-computed conflict summary of one memory span:
 // per-region min/max dense load indices, homogeneous-kind flags, and the
-// self-conflict marker. It is computed ONCE per chunk on the
-// producing goroutine (chunkTee) and consulted read-only by every
-// coalesced engine class before probing, so N classes stop re-probing
-// address runs that provably cannot hit. Summaries live in a flat slice
-// parallel to the chunk's span plan (evChunk.sums); the interval compare
-// against a level's store bounds is three branch-free min/max pairs.
+// self-conflict marker. It is computed ONCE per span, as the span closes
+// on the producing goroutine (sharedProbe.span), and consulted read-only
+// at every watched nesting level, so the probe skips address runs that
+// provably cannot hit. The interval compare against a level's store
+// bounds is three branch-free min/max pairs.
 //
 // The summary is conservative by construction: it is computed without
 // knowledge of any instance's stack-filter bound (spLimit), so the load
@@ -180,38 +147,28 @@ type memEv struct {
 	reg  int8  // region: regLow, regHeap, regStack
 }
 
-// mapTracker is the legacy write-set representation: one map per instance.
-// Its batch methods are the naive loops — the oracle stays obviously
-// correct while the shadow tracker specializes.
-type mapTracker struct{}
+// mapTracker is the legacy write-set representation: one map per nesting
+// level, rebuilt on every enter. It has no batched path — the shared
+// probe drives it one record at a time (naiveRun) — so the oracle stays
+// obviously correct while the shadow tracker specializes.
+type mapTracker[R any] struct {
+	sets []map[int64]R
+}
 
-func (mapTracker) enter(inst *instance) { inst.writes = map[int64]writeRec{} }
-func (mapTracker) drop(inst *instance)  { inst.writes = nil }
-func (mapTracker) loadAt(inst *instance, _ int, _ int64, addr int64) (writeRec, bool) {
-	rec, ok := inst.writes[addr]
+func (t *mapTracker[R]) enter(d int) {
+	for d >= len(t.sets) {
+		t.sets = append(t.sets, nil)
+	}
+	t.sets[d] = map[int64]R{}
+}
+
+func (t *mapTracker[R]) loadAt(d int, _ int, _ int64, addr int64) (R, bool) {
+	rec, ok := t.sets[d][addr]
 	return rec, ok
 }
-func (mapTracker) storeAt(inst *instance, _ int, _ int64, addr int64, rec writeRec) {
-	inst.writes[addr] = rec
-}
-func (mapTracker) memRun(inst *instance, evs []memEv,
-	iter, offBase, spLimit int64, hitIdx []int32, hitRecs []writeRec, _ *spanSum) int {
-	nh := 0
-	for i := range evs {
-		ev := &evs[i]
-		if ev.reg == regStack && ev.addr < spLimit {
-			continue
-		}
-		if ev.kind == memStore {
-			inst.writes[ev.addr] = writeRec{iter: iter, off: offBase + ev.tick}
-			continue
-		}
-		if rec, ok := inst.writes[ev.addr]; ok {
-			hitIdx[nh], hitRecs[nh] = int32(i), rec
-			nh++
-		}
-	}
-	return nh
+
+func (t *mapTracker[R]) storeAt(d int, _ int, _ int64, addr int64, rec R) {
+	t.sets[d][addr] = rec
 }
 
 // Shadow-memory geometry. Guest addresses split into three dense regions
@@ -248,9 +205,9 @@ const (
 // shadowRec is one overflow-map entry: a generation stamp plus the write
 // record. Entries whose gen differs from the level's current generation
 // are stale leftovers of earlier instances and read as absent.
-type shadowRec struct {
+type shadowRec[R any] struct {
 	gen uint64
-	writeRec
+	rec R
 }
 
 // shadowLevel is the shadow memory of one loop-nesting level. Exactly one
@@ -263,18 +220,18 @@ type shadowRec struct {
 // parallel arrays (recs). The common miss — a stale generation — touches
 // only the 8-byte stamp, so one cache line answers eight addresses instead
 // of the two it covered when stamp and record were interleaved.
-type shadowLevel struct {
+type shadowLevel[R any] struct {
 	gen  uint64
-	gens [3][]uint64   // generation stamps, indexed by region offset
-	recs [3][]writeRec // write records, parallel to gens
-	over map[int64]shadowRec
+	gens [3][]uint64 // generation stamps, indexed by region offset
+	recs [3][]R      // write records, parallel to gens
+	over map[int64]shadowRec[R]
 
 	// stMin/stMax bound the dense indices of every write recorded in the
 	// CURRENT generation, per region (flat and overflow alike — the dense
 	// index is a bijection of the address, so the interval is meaningful
 	// for both). A memory span whose load-index intervals are disjoint
 	// from these bounds provably cannot hit, which is what the spanSum
-	// fast paths in memRun test. The bounds only ever widen within a
+	// fast path of memRun tests. The bounds only ever widen within a
 	// generation; bump resets them to the empty interval.
 	stMin, stMax [3]int64
 }
@@ -282,8 +239,8 @@ type shadowLevel struct {
 // bump starts a new generation, invalidating every record the previous
 // occupant of this level left behind, and prunes an oversized overflow
 // map (whose entries are now all stale) so dead records do not accumulate
-// across enter/drop cycles.
-func (lvl *shadowLevel) bump() {
+// across instances.
+func (lvl *shadowLevel[R]) bump() {
 	lvl.gen++
 	if len(lvl.over) > overflowPruneLimit {
 		clear(lvl.over)
@@ -293,7 +250,7 @@ func (lvl *shadowLevel) bump() {
 }
 
 // note records a write at (r, idx) in the level's store bounds.
-func (lvl *shadowLevel) note(r int, idx int64) {
+func (lvl *shadowLevel[R]) note(r int, idx int64) {
 	if idx < lvl.stMin[r] {
 		lvl.stMin[r] = idx
 	}
@@ -304,7 +261,7 @@ func (lvl *shadowLevel) note(r int, idx int64) {
 
 // disjoint reports whether the span's per-region load intervals are
 // provably disjoint from every write recorded this generation.
-func (lvl *shadowLevel) disjoint(sum *spanSum) bool {
+func (lvl *shadowLevel[R]) disjoint(sum *spanSum) bool {
 	for r := 0; r < 3; r++ {
 		if sum.loadMax[r] >= lvl.stMin[r] && sum.loadMin[r] <= lvl.stMax[r] {
 			return false
@@ -314,16 +271,13 @@ func (lvl *shadowLevel) disjoint(sum *spanSum) bool {
 }
 
 // shadowTracker implements depTracker with generation-stamped flat tables.
-type shadowTracker struct {
-	levels []*shadowLevel
+type shadowTracker[R any] struct {
+	levels []*shadowLevel[R]
 	caps   [3]int64 // flat-table cap per region
-	// skips counts memRun calls the span summary answered without
-	// probing a load (the chunk tee's probe census).
-	skips int64
 }
 
-func newShadowTracker(info *analysis.ModuleInfo) *shadowTracker {
-	t := &shadowTracker{}
+func newShadowTracker[R any](info *analysis.ModuleInfo) *shadowTracker[R] {
+	t := &shadowTracker[R]{}
 	globalEnd := int64(interp.GlobalBase)
 	if info != nil && info.Mod != nil {
 		for _, g := range info.Mod.Globals {
@@ -348,83 +302,89 @@ func region(addr int64) (r int, idx int64) {
 	return regLow, addr
 }
 
-func (t *shadowTracker) enter(inst *instance) {
-	for int(inst.depth) >= len(t.levels) {
-		t.levels = append(t.levels, &shadowLevel{})
+func (t *shadowTracker[R]) enter(d int) {
+	for d >= len(t.levels) {
+		t.levels = append(t.levels, &shadowLevel[R]{})
 	}
-	t.levels[inst.depth].bump()
+	t.levels[d].bump()
 }
 
-func (t *shadowTracker) drop(inst *instance) {
-	// Stale records are invalidated (and oversized overflow maps pruned)
-	// by the next occupant's generation bump; nothing to clear now.
-}
-
-func (t *shadowTracker) loadAt(inst *instance, r int, idx int64, addr int64) (writeRec, bool) {
-	lvl := t.levels[inst.depth]
+func (t *shadowTracker[R]) loadAt(d int, r int, idx int64, addr int64) (rec R, ok bool) {
+	lvl := t.levels[d]
 	if idx < 0 || idx >= t.caps[r] {
-		rec, ok := lvl.over[addr]
-		if !ok || rec.gen != lvl.gen {
-			return writeRec{}, false
+		if o, hit := lvl.over[addr]; hit && o.gen == lvl.gen {
+			return o.rec, true
 		}
-		return rec.writeRec, true
+		return rec, false
 	}
 	gens := lvl.gens[r]
 	if idx >= int64(len(gens)) || gens[idx] != lvl.gen {
-		return writeRec{}, false
+		return rec, false
 	}
 	return lvl.recs[r][idx], true
 }
 
-func (t *shadowTracker) storeAt(inst *instance, r int, idx int64, addr int64, rec writeRec) {
-	lvl := t.levels[inst.depth]
-	lvl.note(r, idx)
-	if idx < 0 || idx >= t.caps[r] {
-		if lvl.over == nil {
-			lvl.over = map[int64]shadowRec{}
-		}
-		lvl.over[addr] = shadowRec{gen: lvl.gen, writeRec: rec}
+func (t *shadowTracker[R]) storeAt(d int, r int, idx int64, addr int64, rec R) {
+	lvl := t.levels[d]
+	if uint64(idx) < uint64(len(lvl.gens[r])) {
+		lvl.note(r, idx)
+		lvl.gens[r][idx] = lvl.gen
+		lvl.recs[r][idx] = rec
 		return
 	}
-	gens := lvl.gens[r]
-	if idx >= int64(len(gens)) {
-		lvl.grow(r, idx, t.caps[r])
-		gens = lvl.gens[r]
+	lvl.put(r, idx, addr, rec, t.caps[r])
+}
+
+// put records rec at (r, idx) in the current generation, growing the flat
+// table or falling back to the overflow map as the address demands: the
+// slow path of every store.
+func (lvl *shadowLevel[R]) put(r int, idx int64, addr int64, rec R, cap64 int64) {
+	lvl.note(r, idx)
+	if idx < 0 || idx >= cap64 {
+		if lvl.over == nil {
+			lvl.over = map[int64]shadowRec[R]{}
+		}
+		lvl.over[addr] = shadowRec[R]{gen: lvl.gen, rec: rec}
+		return
 	}
-	gens[idx] = lvl.gen
+	if idx >= int64(len(lvl.gens[r])) {
+		lvl.grow(r, idx, cap64)
+	}
+	lvl.gens[r][idx] = lvl.gen
 	lvl.recs[r][idx] = rec
 }
 
-// memRun is the shadow fast path for a mixed load/store run: the level and
+// memRun resolves one memory span at nesting level d in ONE pass: the
+// shared probe's hot path (sharedProbe.span, its one caller, once per
+// span and watched level on behalf of every engine class). The level and
 // its generation are hoisted out of the per-record loop, so the common
 // case — a dense store, or a dense load missing on a stale generation —
-// costs one region-array index plus one stamp compare. Thanks to the SoA
+// costs one region-array index plus one stamp compare; thanks to the SoA
 // layout, a miss touches only the 8-byte stamp.
 //
-// When the span's shared summary proves its loads cannot hit — the span is
-// self-conflict-free and its load-index intervals are disjoint from every
-// write this generation recorded — the whole probe side is skipped: a
-// load-only span returns immediately, a mixed span falls to storeRun. The
-// result (hit list, recorded state) is identical to the unsummarized walk;
-// the differential property harness pins that equivalence.
-func (t *shadowTracker) memRun(inst *instance, evs []memEv,
-	iter, offBase, spLimit int64, hitIdx []int32, hitRecs []writeRec, sum *spanSum) int {
-	lvl := t.levels[inst.depth]
-	if sum != nil {
-		if sum.flags&sumHasLoad == 0 {
-			t.skips++
-			return t.storeRun(lvl, evs, iter, offBase, spLimit)
-		}
-		if sum.flags&sumSelfConflict == 0 && lvl.disjoint(sum) {
-			t.skips++
-			if sum.flags&sumHasStore == 0 {
-				return 0 // pure loads, provably no recorded write in range
-			}
-			return t.storeRun(lvl, evs, iter, offBase, spLimit)
-		}
+// A store records base with the record's clock advance inside the span
+// added to its serial offset; every other stamp field is a span constant,
+// since loop events end a span. A load that finds a write of an EARLIER
+// iteration (rec.iter < base.iter) appends a candidate for level d, with
+// its advance, to cands. Records with reg == regStack and addr < spLimit
+// are skipped: the cactus-stack exemption (frames pushed after the
+// current iteration began are iteration-private) in one bound.
+//
+// sum, when non-nil, is the span's conflict summary (summarizeSpan of
+// evs). When it proves the span's loads cannot hit — the span has none,
+// or is self-conflict-free with load-index intervals disjoint from every
+// write this generation recorded — memRun records the stores only and
+// reports the skip. The candidates and recorded state are naiveRun's
+// either way; the differential harness pins that.
+func memRun(t *shadowTracker[stamp], d int, evs []memEv, base stamp, spLimit int64,
+	sum *spanSum, cands []probeCand) ([]probeCand, bool) {
+	lvl := t.levels[d]
+	skip := sum != nil && (sum.flags&sumHasLoad == 0 ||
+		sum.flags&sumSelfConflict == 0 && lvl.disjoint(sum))
+	if skip && sum.flags&sumHasStore == 0 {
+		return cands, true
 	}
 	gen := lvl.gen
-	nh := 0
 	for i := range evs {
 		ev := &evs[i]
 		r := int(ev.reg)
@@ -434,97 +394,76 @@ func (t *shadowTracker) memRun(inst *instance, evs []memEv,
 		}
 		gens := lvl.gens[r]
 		if ev.kind == memStore {
-			lvl.note(r, idx)
-			rec := writeRec{iter: iter, off: offBase + ev.tick}
+			rec := base
+			rec.ser += ev.tick
 			if uint64(idx) < uint64(len(gens)) {
+				lvl.note(r, idx)
 				gens[idx] = gen
 				lvl.recs[r][idx] = rec
 				continue
 			}
-			if idx >= 0 && idx < t.caps[r] { // dense but not yet grown
-				lvl.grow(r, idx, t.caps[r])
-				lvl.gens[r][idx] = gen
-				lvl.recs[r][idx] = rec
-				continue
-			}
-			if lvl.over == nil {
-				lvl.over = map[int64]shadowRec{}
-			}
-			lvl.over[ev.addr] = shadowRec{gen: gen, writeRec: rec}
+			lvl.put(r, idx, ev.addr, rec, t.caps[r])
 			continue
 		}
-		// Load.
-		if uint64(idx) < uint64(len(gens)) {
+		if skip {
+			continue
+		}
+		var w stamp
+		switch {
+		case uint64(idx) < uint64(len(gens)):
 			if gens[idx] != gen {
 				continue
 			}
-			hitIdx[nh], hitRecs[nh] = int32(i), lvl.recs[r][idx]
-			nh++
+			w = lvl.recs[r][idx]
+		case idx >= 0 && idx < t.caps[r]: // dense but not yet grown
 			continue
+		default:
+			o, ok := lvl.over[ev.addr]
+			if !ok || o.gen != gen {
+				continue
+			}
+			w = o.rec
 		}
-		if idx >= 0 && idx < t.caps[r] { // dense but not yet grown
-			continue
+		if w.iter < base.iter {
+			cands = append(cands, probeCand{level: int32(d), tick: ev.tick, w: w})
 		}
-		rec, ok := lvl.over[ev.addr]
-		if !ok || rec.gen != gen {
-			continue
-		}
-		hitIdx[nh], hitRecs[nh] = int32(i), rec.writeRec
-		nh++
 	}
-	return nh
+	return cands, skip
 }
 
-// storeRun is memRun restricted to the span's stores: taken when the
-// shared span summary proves no load of the span can hit (or the span has
-// none), so the probe side — generation compares, overflow lookups, hit
-// bookkeeping — vanishes and only the recording writes remain. Loads cost
-// a single predictable branch.
-func (t *shadowTracker) storeRun(lvl *shadowLevel, evs []memEv,
-	iter, offBase, spLimit int64) int {
-	gen := lvl.gen
+// naiveRun is memRun the plain way, one tracker call per record and no
+// summary, on any tracker: the shared probe's path under the legacy-map
+// oracle, and the reference the differential harness holds memRun to.
+func naiveRun(tr depTracker[stamp], d int, evs []memEv, base stamp, spLimit int64, cands []probeCand) []probeCand {
 	for i := range evs {
 		ev := &evs[i]
-		if ev.kind != memStore {
-			continue
-		}
 		r := int(ev.reg)
 		if r == regStack && ev.addr < spLimit {
 			continue
 		}
-		idx := ev.idx
-		lvl.note(r, idx)
-		rec := writeRec{iter: iter, off: offBase + ev.tick}
-		gens := lvl.gens[r]
-		if uint64(idx) < uint64(len(gens)) {
-			gens[idx] = gen
-			lvl.recs[r][idx] = rec
+		if ev.kind == memStore {
+			rec := base
+			rec.ser += ev.tick
+			tr.storeAt(d, r, ev.idx, ev.addr, rec)
 			continue
 		}
-		if idx >= 0 && idx < t.caps[r] { // dense but not yet grown
-			lvl.grow(r, idx, t.caps[r])
-			lvl.gens[r][idx] = gen
-			lvl.recs[r][idx] = rec
-			continue
+		if w, ok := tr.loadAt(d, r, ev.idx, ev.addr); ok && w.iter < base.iter {
+			cands = append(cands, probeCand{level: int32(d), tick: ev.tick, w: w})
 		}
-		if lvl.over == nil {
-			lvl.over = map[int64]shadowRec{}
-		}
-		lvl.over[ev.addr] = shadowRec{gen: gen, writeRec: rec}
 	}
-	return 0
+	return cands
 }
 
 // grow extends a region's flat tables to cover idx: geometric doubling
 // from minShadowTab, clamped to the region cap. Stale prefixes keep their
 // old generation stamps, so no clearing is needed. The gens and recs
 // arrays grow in lockstep to stay parallel.
-func (lvl *shadowLevel) grow(r int, idx, cap64 int64) {
+func (lvl *shadowLevel[R]) grow(r int, idx, cap64 int64) {
 	n := growShadowTab(int64(len(lvl.gens[r])), idx, cap64)
 	gens := make([]uint64, n)
 	copy(gens, lvl.gens[r])
 	lvl.gens[r] = gens
-	recs := make([]writeRec, n)
+	recs := make([]R, n)
 	copy(recs, lvl.recs[r])
 	lvl.recs[r] = recs
 }
@@ -545,9 +484,9 @@ func growShadowTab(n, idx, cap64 int64) int64 {
 }
 
 // newTracker builds the tracker for a kind.
-func newTracker(kind trackerKind, info *analysis.ModuleInfo) depTracker {
+func newTracker[R any](kind trackerKind, info *analysis.ModuleInfo) depTracker[R] {
 	if kind == trackerLegacyMap {
-		return mapTracker{}
+		return &mapTracker[R]{}
 	}
-	return newShadowTracker(info)
+	return newShadowTracker[R](info)
 }

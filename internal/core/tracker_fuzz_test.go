@@ -11,7 +11,7 @@ import "testing"
 // generation-churn boundaries; `make fuzz-smoke` runs this coverage-guided
 // for a few seconds per CI pass.
 func FuzzTrackerDifferential(f *testing.F) {
-	// Store/load at the regLow clamp edge, a memory span, then drop,
+	// Store/load at the regLow clamp edge, a memory span, then leave,
 	// re-enter, and reload: the stale record must be invisible.
 	f.Add([]byte("\x00\x00\x00\x00\x02\x00\x01\x00\x04\x00\x01\x00" +
 		"\x06\x01\x05\x02\x01\x00\x00\x00\x00\x00\x00\x00\x04\x00\x01\x00"))

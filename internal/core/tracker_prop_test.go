@@ -2,8 +2,8 @@ package core
 
 // Tracker-level differential harness: randomized (depth, region, addr, op)
 // streams replayed through the shadow tracker and the legacy map oracle
-// side-by-side, comparing every load answer and every batched memRun hit
-// list. Unlike the full-suite oracles (which only exercise addresses real
+// side-by-side, comparing every load answer and every batched memRun
+// candidate list against naiveRun on the oracle. Unlike the full-suite oracles (which only exercise addresses real
 // benchmarks produce), the stream generator deliberately lands on the
 // boundaries — region cap edges, growShadowTab doubling and clamp points,
 // the overflow-map fallback, stack-filter limits, and generation churn.
@@ -88,42 +88,32 @@ func diffAddr(sel, lo byte) int64 {
 // runTrackerDiff decodes ops as a scripted stream of tracker operations
 // (4 bytes each: op, depth/span selector, address family, offset) and
 // replays it through a shadow tracker and the map oracle in lockstep,
-// failing on the first divergence. Op streams of any content are safe;
-// invalid prefixes simply decode to no-ops.
+// failing on the first divergence. Both store the shared probe's stamps,
+// so the batched spans run the probe's memRun against naiveRun. Op
+// streams of any content are safe; invalid prefixes simply decode to
+// no-ops.
 func runTrackerDiff(tb testing.TB, ops []byte) {
 	tb.Helper()
 	info := trackerDiffInfo()
-	sh := newShadowTracker(info)
+	sh := newShadowTracker[stamp](info)
 	sh.caps[regHeap] = diffHeapCap
 	sh.caps[regStack] = diffStackCap
-	mp := mapTracker{}
+	mp := &mapTracker[stamp]{}
 	const maxDepth = 4
-	shInst := make([]*instance, maxDepth)
-	mpInst := make([]*instance, maxDepth)
-	for d := range shInst {
-		shInst[d] = &instance{depth: d}
-		mpInst[d] = &instance{depth: d}
-	}
-	const maxSpan = 32
-	shIdx := make([]int32, maxSpan)
-	shRec := make([]writeRec, maxSpan)
-	mpIdx := make([]int32, maxSpan)
-	mpRec := make([]writeRec, maxSpan)
+	var shCands, mpCands []probeCand
 	active := 0
 	for i, step := 0, 0; i+3 < len(ops); i, step = i+4, step+1 {
 		op, sel, fam, off := ops[i], ops[i+1], ops[i+2], ops[i+3]
 		switch op % 8 {
 		case 0: // enter the next nesting level
 			if active < maxDepth {
-				sh.enter(shInst[active])
-				mp.enter(mpInst[active])
+				sh.enter(active)
+				mp.enter(active)
 				active++
 			}
-		case 1: // drop the deepest level
+		case 1: // leave the deepest level
 			if active > 0 {
 				active--
-				sh.drop(shInst[active])
-				mp.drop(mpInst[active])
 			}
 		case 2, 3: // store at a random live depth
 			if active == 0 {
@@ -132,9 +122,9 @@ func runTrackerDiff(tb testing.TB, ops []byte) {
 			d := int(sel) % active
 			addr := diffAddr(fam, off)
 			r, idx := region(addr)
-			rec := writeRec{iter: int64(sel % 7), off: int64(off)}
-			sh.storeAt(shInst[d], r, idx, addr, rec)
-			mp.storeAt(mpInst[d], r, idx, addr, rec)
+			rec := stamp{iter: int64(sel % 7), ser: int64(off), kw: int64(fam), k0: int64(op)}
+			sh.storeAt(d, r, idx, addr, rec)
+			mp.storeAt(d, r, idx, addr, rec)
 		case 4, 5: // load and compare
 			if active == 0 {
 				continue
@@ -142,8 +132,8 @@ func runTrackerDiff(tb testing.TB, ops []byte) {
 			d := int(sel) % active
 			addr := diffAddr(fam, off)
 			r, idx := region(addr)
-			sr, sok := sh.loadAt(shInst[d], r, idx, addr)
-			mr, mok := mp.loadAt(mpInst[d], r, idx, addr)
+			sr, sok := sh.loadAt(d, r, idx, addr)
+			mr, mok := mp.loadAt(d, r, idx, addr)
 			if sok != mok || sr != mr {
 				tb.Fatalf("step %d: loadAt(depth %d, addr %#x) diverged: shadow (%+v, %v) vs map (%+v, %v)",
 					step, d, addr, sr, sok, mr, mok)
@@ -166,7 +156,7 @@ func runTrackerDiff(tb testing.TB, ops []byte) {
 					kind: uint8(rng.Intn(2)), reg: int8(r)})
 				tick += int64(rng.Intn(5))
 			}
-			iter, offBase := int64(off%9), int64(sel)
+			base := stamp{iter: int64(off % 9), ser: int64(sel), kw: int64(step), k0: int64(fam)}
 			var spLimit int64
 			if off%2 == 0 {
 				// Exercise the cactus-stack filter boundary: addresses in
@@ -182,16 +172,16 @@ func runTrackerDiff(tb testing.TB, ops []byte) {
 				s := summarizeSpan(evs)
 				sum = &s
 			}
-			ns := sh.memRun(shInst[d], evs, iter, offBase, spLimit, shIdx, shRec, sum)
-			nm := mp.memRun(mpInst[d], evs, iter, offBase, spLimit, mpIdx, mpRec, sum)
-			if ns != nm {
-				tb.Fatalf("step %d: memRun(depth %d, %d evs) hit count diverged: shadow %d vs map %d",
-					step, d, len(evs), ns, nm)
+			shCands, _ = memRun(sh, d, evs, base, spLimit, sum, shCands[:0])
+			mpCands = naiveRun(mp, d, evs, base, spLimit, mpCands[:0])
+			if len(shCands) != len(mpCands) {
+				tb.Fatalf("step %d: memRun(depth %d, %d evs) candidate count diverged: shadow %d vs map %d",
+					step, d, len(evs), len(shCands), len(mpCands))
 			}
-			for h := 0; h < ns; h++ {
-				if shIdx[h] != mpIdx[h] || shRec[h] != mpRec[h] {
-					tb.Fatalf("step %d: memRun hit %d diverged: shadow (ev %d, %+v) vs map (ev %d, %+v)",
-						step, h, shIdx[h], shRec[h], mpIdx[h], mpRec[h])
+			for h := range shCands {
+				if shCands[h] != mpCands[h] {
+					tb.Fatalf("step %d: memRun candidate %d diverged: shadow %+v vs map %+v",
+						step, h, shCands[h], mpCands[h])
 				}
 			}
 		}
@@ -243,32 +233,30 @@ func TestGrowShadowTabClamp(t *testing.T) {
 }
 
 // TestShadowOverflowPruneBounded pins the overflow-map prune on generation
-// bump: 10k enter/drop cycles, each storing fresh wild addresses, must not
+// bump: 10k enter cycles, each storing fresh wild addresses, must not
 // accumulate stale records. Before the prune, every cycle's overflow
 // entries outlived their instance forever; now a bump clears any map past
 // overflowPruneLimit, so retention is bounded by limit + one cycle's
 // writes regardless of churn.
 func TestShadowOverflowPruneBounded(t *testing.T) {
-	sh := newShadowTracker(trackerDiffInfo())
-	inst := &instance{depth: 0}
+	sh := newShadowTracker[writeRec](trackerDiffInfo())
 	const cycles, perCycle = 10000, 8
 	for c := 0; c < cycles; c++ {
-		sh.enter(inst)
+		sh.enter(0)
 		// Fresh overflow addresses every cycle: beyond the heap flat cap.
 		base := int64(interp.HeapBase) + heapFlatCap + int64(c*perCycle)
 		for j := int64(0); j < perCycle; j++ {
 			addr := base + j
 			r, idx := region(addr)
-			sh.storeAt(inst, r, idx, addr, writeRec{iter: int64(c), off: j})
+			sh.storeAt(0, r, idx, addr, writeRec{iter: int64(c), off: j})
 			// The live instance still sees its own overflow writes.
-			if rec, ok := sh.loadAt(inst, r, idx, addr); !ok || rec.iter != int64(c) {
+			if rec, ok := sh.loadAt(0, r, idx, addr); !ok || rec.iter != int64(c) {
 				t.Fatalf("cycle %d: own overflow write invisible (ok=%v rec=%+v)", c, ok, rec)
 			}
 		}
-		sh.drop(inst)
 	}
 	if n := len(sh.levels[0].over); n > overflowPruneLimit+perCycle {
-		t.Fatalf("overflow map retains %d records after %d enter/drop cycles, want <= %d: stale entries accumulate across generations",
+		t.Fatalf("overflow map retains %d records after %d enter cycles, want <= %d: stale entries accumulate across generations",
 			n, cycles, overflowPruneLimit+perCycle)
 	}
 }
@@ -276,7 +264,8 @@ func TestShadowOverflowPruneBounded(t *testing.T) {
 // TestMemRunSummaryContract: for spans engineered onto each fast path —
 // pure stores, disjoint pure loads, disjoint mixed, overlapping, and
 // self-conflicting — memRun with the span's summary must return the
-// exact hit list memRun without a summary returns, on identical state.
+// exact candidate list memRun without a summary returns, on identical
+// state.
 func TestMemRunSummaryContract(t *testing.T) {
 	info := trackerDiffInfo()
 	heap := int64(interp.HeapBase)
@@ -298,31 +287,26 @@ func TestMemRunSummaryContract(t *testing.T) {
 		},
 	}
 	for name, evs := range spans {
-		runFor := func(sum *spanSum) (int, []int32, []writeRec) {
-			sh := newShadowTracker(info)
-			inst := &instance{depth: 0}
-			sh.enter(inst)
+		runFor := func(sum *spanSum) []probeCand {
+			sh := newShadowTracker[stamp](info)
+			sh.enter(0)
 			// Pre-span state: writes at heap+10..heap+19 from iteration 0.
 			for j := int64(0); j < 10; j++ {
 				r, idx := region(heap + 10 + j)
-				sh.storeAt(inst, r, idx, heap+10+j, writeRec{iter: 0, off: j})
+				sh.storeAt(0, r, idx, heap+10+j, stamp{iter: 0, ser: j})
 			}
-			hitIdx := make([]int32, len(evs))
-			hitRecs := make([]writeRec, len(evs))
-			n := sh.memRun(inst, evs, 2, 100, 0, hitIdx, hitRecs, sum)
-			return n, hitIdx[:n], hitRecs[:n]
+			cands, _ := memRun(sh, 0, evs, stamp{iter: 2, ser: 100}, 0, sum, nil)
+			return cands
 		}
 		sum := summarizeSpan(evs)
-		nWant, idxWant, recWant := runFor(nil)
-		nGot, idxGot, recGot := runFor(&sum)
-		if nWant != nGot {
-			t.Errorf("%s: hit count %d with summary, %d without", name, nGot, nWant)
+		want, got := runFor(nil), runFor(&sum)
+		if len(want) != len(got) {
+			t.Errorf("%s: %d candidates with summary, %d without", name, len(got), len(want))
 			continue
 		}
-		for h := 0; h < nWant; h++ {
-			if idxWant[h] != idxGot[h] || recWant[h] != recGot[h] {
-				t.Errorf("%s: hit %d diverged under summary: (%d,%+v) vs (%d,%+v)",
-					name, h, idxGot[h], recGot[h], idxWant[h], recWant[h])
+		for h := range want {
+			if want[h] != got[h] {
+				t.Errorf("%s: candidate %d diverged under summary: %+v vs %+v", name, h, got[h], want[h])
 			}
 		}
 	}
